@@ -66,7 +66,6 @@ from .periodic import (
 from .seeding import DEFAULT_SEED, default_seed, substream
 from .walk import (
     WalkTrace,
-    crossing_ensemble,
     edge_crossings,
     ensemble_summary,
     ensemble_walks,
@@ -101,7 +100,6 @@ __all__ = [
     "classify_chain",
     "classify_periodic",
     "classify_positive",
-    "crossing_ensemble",
     "default_seed",
     "diagnostics",
     "edge_crossings",

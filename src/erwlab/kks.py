@@ -6,9 +6,8 @@ chain whose step distribution U(x) counts successes before the x-th
 failure when cookies are consumed in pile order.  This module provides
 
 * an exact dynamic-programming oracle for the law of U(x),
-* fast exact samplers (success-run decomposition for periodic piles,
-  dyadic block composition for large x, prefix plus negative binomial
-  for bounded piles),
+* fast exact samplers (dyadic block composition for periodic piles,
+  prefix plus negative binomial for piles with a constant tail),
 * single-run and vectorized ensemble simulation of the chain,
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
 
@@ -177,139 +176,6 @@ def exact_moments(env: CookieEnvironment, x: int, tail_eps: float = 1e-14) -> Ex
 # ---------------------------------------------------------------------
 
 
-class _RunSampler:
-    """Success-run decomposition for a periodic pile.
-
-    Between consecutive failures the active cookie slot performs a walk
-    on Z/M.  A run of g successes splits as g = d + M*t where d < M is
-    the slot advance (a per-slot categorical) and t counts whole-period
-    wraps, geometric with success 1 - (full period product) and
-    independent of everything else.  Summing over x failures, the wrap
-    total is a single negative binomial.
-    """
-
-    def __init__(self, env: CookieEnvironment):
-        params = env.params
-        m = len(params)
-        p = np.asarray(params, dtype=float)
-        q = 1.0 - p
-        prods = _cyclic_products(params)
-        self.period = m
-        self.full_product = float(prods[0, m])
-        denom = 1.0 - self.full_product
-        if denom <= 0.0:
-            raise ValueError("degenerate environment: all-ones pile")
-        pmf = np.empty((m, m))
-        for d in range(m):
-            pmf[:, d] = prods[:, d] * q[(np.arange(m) + d) % m] / denom
-        self.cdf = np.cumsum(pmf, axis=1)
-        self.cdf[:, -1] = 1.0
-
-    def draw_many(self, x: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        m = self.period
-        state = np.zeros(size, dtype=np.int64)
-        total = np.zeros(size, dtype=np.int64)
-        cols = [np.ascontiguousarray(self.cdf[:, c]) for c in range(m - 1)]
-        for _ in range(x):
-            u = rng.random(size)
-            d = np.zeros(size, dtype=np.int64)
-            for c in range(m - 1):
-                d += cols[c][state] <= u
-            total += d
-            state = (state + d + 1) % m
-        if self.full_product > 0.0:
-            wraps = rng.negative_binomial(x, 1.0 - self.full_product, size)
-            total += m * wraps.astype(np.int64)
-        return total
-
-    def draw_one(self, x: int, rng: np.random.Generator) -> int:
-        m = self.period
-        state = 0
-        total = 0
-        for _ in range(x):
-            d = int(np.searchsorted(self.cdf[state], rng.random(), side="right"))
-            total += d
-            state = (state + d + 1) % m
-        if self.full_product > 0.0:
-            total += m * int(rng.negative_binomial(x, 1.0 - self.full_product))
-        return total
-
-
-class _PeriodSampler:
-    """Trial-space sampler for one large draw from a periodic pile.
-
-    Failures per full period are i.i.d.; a batch of period totals is
-    drawn until the target failure count is covered and the boundary
-    period is resolved through exact conditional position tables.
-    """
-
-    def __init__(self, env: CookieEnvironment):
-        q = [1.0 - p for p in env.params]
-        m = len(q)
-        self.period = m
-        self.mean_failures = math.fsum(q)
-        if self.mean_failures <= 0.0:
-            raise ValueError("degenerate environment: all-ones pile")
-        # forward[t][f]: P(f failures in trials 1..t)
-        forward = [np.array([1.0])]
-        for t in range(m):
-            prev = forward[-1]
-            nxt = np.zeros(t + 2)
-            nxt[: t + 1] += prev * (1.0 - q[t])
-            nxt[1:] += prev * q[t]
-            forward.append(nxt)
-        # suffix[t][g]: P(g failures in trials t+1..M)
-        suffix = [np.array([1.0])]
-        for t in range(m - 1, -1, -1):
-            prev = suffix[0]
-            nxt = np.zeros(len(prev) + 1)
-            nxt[: len(prev)] += prev * (1.0 - q[t])
-            nxt[1:] += prev * q[t]
-            suffix.insert(0, nxt)
-        self.period_pmf = forward[m]
-        self.period_cdf = np.cumsum(self.period_pmf)
-        self.period_cdf[-1] = 1.0
-        # boundary[w][r]: cdf over the trial t carrying the r-th failure,
-        # conditioned on w failures in the whole period
-        self.boundary: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        for w in range(1, m + 1):
-            pw = self.period_pmf[w]
-            if pw <= 0.0:
-                continue
-            for r in range(1, w + 1):
-                ts = np.arange(r, m - (w - r) + 1)
-                probs = np.array(
-                    [forward[t - 1][r - 1] * q[t - 1] * suffix[t][w - r] for t in ts]
-                )
-                cdf = np.cumsum(probs / pw)
-                cdf[-1] = 1.0
-                self.boundary[(w, r)] = (cdf, int(ts[0]))
-
-    def draw_one(self, x: int, rng: np.random.Generator) -> int:
-        m = self.period
-        collected = 0
-        periods_done = 0
-        while True:
-            need = x - collected
-            chunk = int(need / self.mean_failures * 1.2) + 32
-            u = rng.random(chunk)
-            ws = np.searchsorted(self.period_cdf, u, side="right")
-            cum = np.cumsum(ws)
-            if cum[-1] < need:
-                collected += int(cum[-1])
-                periods_done += chunk
-                continue
-            pos = int(np.searchsorted(cum, need, side="left"))
-            before = int(cum[pos - 1]) if pos > 0 else 0
-            full_periods = periods_done + pos
-            fails_before = collected + before
-            r = x - fails_before
-            w = int(ws[pos])
-            cdf, t0 = self.boundary[(w, r)]
-            t = t0 + int(np.searchsorted(cdf, rng.random(), side="right"))
-            return full_periods * m - fails_before + (t - r)
-
-
 def _prefix_tail_draws(
     env: CookieEnvironment,
     x: "int | np.ndarray",
@@ -382,7 +248,8 @@ class _DyadicLevel(NamedTuple):
 
 
 class _DyadicSampler:
-    """Exact draws of U(x) for large x by dyadic block composition.
+    """Exact draws of U(x), x >= 1, for periodic piles by dyadic block
+    composition.
 
     Consuming a block of 2^k failures from pile slot r yields a success
     count and an end slot; the joint law at level k is the slot-indexed
@@ -390,33 +257,48 @@ class _DyadicSampler:
     the set bits of x from high to low, threading the slot state, with a
     single inverse-CDF lookup per bit, so the cost per draw is
     logarithmic in x.  Levels extend lazily as larger x appear.
+
+    Level 0 is the closed-form success-run law: a run of g = d + M*t
+    successes from slot r has mass prods[r, d] * q[r + d] * P^t, with P
+    the full-period product, tabulated for t < ceil(log _TAIL / log P)
+    so that at most ``_TAIL`` of each row lies beyond the table.
+
+    Error per level: each level trims at most ``_TAIL`` of its mass from
+    either end of the success count and renormalizes.  After an FFT
+    square, entries below 64 * eps * (largest entry) are set to 0.  That
+    floor sits above the ``irfft`` round-off, which would otherwise
+    survive the trim and widen every level linearly in 2^k instead of
+    like sqrt(2^k).  Each entry moves by less than the floor, so a row of
+    m * n entries moves by at most 64 * eps * m * n in total variation
+    before renormalizing.  A draw at x adds up these bounds over the
+    bit_length(x) levels it reads; on (0.9, 0.1) the measured total
+    variation to the oracle is 5e-12 at x = 4096.
     """
 
     _TAIL = 1e-17
+    # Cap on level-0 entries (m * m * width, 32 MiB): the success-run
+    # tail spans about 39 / (1 - P) periods, gigabytes as P nears 1.
+    _MAX_LEVEL0 = 1 << 22
 
     def __init__(self, env: CookieEnvironment):
-        params = env.params
-        self.m = len(params)
-        p = np.asarray(params, dtype=float)
-        q = 1.0 - p
-        m = self.m
-        rows = []
-        for r in range(m):
-            probs = []
-            acc = 1.0
-            u = 0
-            while acc > self._TAIL or u < m:
-                probs.append(acc * q[(r + u) % m])
-                acc *= p[(r + u) % m]
-                u += 1
-                if u > 128 * (m + 8):
-                    raise InternalConsistencyError("success-run tail failed to decay")
-            rows.append(np.asarray(probs))
-        width = max(len(row) for row in rows)
+        m = len(env.params)
+        self.m = m
+        q = 1.0 - np.asarray(env.params, dtype=float)
+        prods = _cyclic_products(env.params)
+        full = float(prods[0, m])
+        wraps = math.ceil(math.log(self._TAIL) / math.log(full)) if full > 0.0 else 0
+        width = m * max(wraps, 1)
+        if m * m * width > self._MAX_LEVEL0:
+            raise ValueError(
+                f"full-period product {full!r} is too close to 1: "
+                f"the success-run tail needs {width} slots"
+            )
+        g = np.arange(width)
+        d = g % m
+        r = np.arange(m).reshape(m, 1)
+        mass = prods[r, d] * q[(r + d) % m] * full ** (g // m)
         joint = np.zeros((m, m, width))
-        for r in range(m):
-            u = np.arange(len(rows[r]))
-            joint[r, (r + u + 1) % m, u] = rows[r]
+        joint[r, (r + d + 1) % m, g] = mass
         self.levels: list[_DyadicLevel] = [self._finish(0, joint)]
 
     def _finish(self, k0: int, joint: np.ndarray) -> _DyadicLevel:
@@ -443,7 +325,7 @@ class _DyadicSampler:
         fa = np.fft.rfft(prev.joint, size, axis=2)
         fc = np.einsum("abf,bcf->acf", fa, fa)
         out = np.fft.irfft(fc, size, axis=2)[:, :, :n]
-        np.maximum(out, 0.0, out)
+        out[out < 64 * np.finfo(float).eps * out.max()] = 0.0
         self.levels.append(self._finish(2 * prev.k0, out))
 
     def ensure(self, x_max: int) -> None:
@@ -492,43 +374,13 @@ class _DyadicSampler:
         return out
 
 
-_run_sampler_cache: dict[CookieEnvironment, _RunSampler] = {}
-_period_sampler_cache: dict[CookieEnvironment, _PeriodSampler] = {}
-
-
-def _run_sampler(env: CookieEnvironment) -> _RunSampler:
-    s = _run_sampler_cache.get(env)
-    if s is None:
-        s = _RunSampler(env)
-        _run_sampler_cache[env] = s
-    return s
-
-
-def _period_sampler(env: CookieEnvironment) -> _PeriodSampler:
-    s = _period_sampler_cache.get(env)
-    if s is None:
-        s = _PeriodSampler(env)
-        _period_sampler_cache[env] = s
-    return s
-
-
-# Above this x the dyadic sampler beats the per-failure run sampler.
-_DYADIC_MIN = 512
-
 # Ensemble batches at or below this size fall back to scalar draws.
 _FINISH_BATCH = 16
 
-_dyadic_cache: dict[CookieEnvironment, _DyadicSampler] = {}
 
-
+@lru_cache(maxsize=4)
 def _dyadic(env: CookieEnvironment) -> _DyadicSampler:
-    s = _dyadic_cache.get(env)
-    if s is None:
-        if len(_dyadic_cache) >= 4:
-            _dyadic_cache.clear()
-        s = _DyadicSampler(env)
-        _dyadic_cache[env] = s
-    return s
+    return _DyadicSampler(env)
 
 
 def sample_U_many(
@@ -544,9 +396,7 @@ def sample_U_many(
     if const is not None:
         return rng.negative_binomial(x, 1.0 - const, size).astype(np.int64)
     if env.kind is EnvKind.PERIODIC:
-        if x > _DYADIC_MIN:
-            return _dyadic(env).draw(np.full(size, x, dtype=np.int64), rng)
-        return _run_sampler(env).draw_many(x, size, rng)
+        return _dyadic(env).draw(np.full(size, x, dtype=np.int64), rng)
     return _prefix_tail_draws(env, x, size, rng)
 
 
@@ -561,9 +411,7 @@ def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
     if const is not None:
         return int(rng.negative_binomial(x, 1.0 - const))
     if env.kind is EnvKind.PERIODIC:
-        if x > _DYADIC_MIN:
-            return _dyadic(env).draw_one(x, rng)
-        return _run_sampler(env).draw_one(x, rng)
+        return _dyadic(env).draw_one(x, rng)
     return int(_prefix_tail_draws(env, x, 1, rng)[0])
 
 

@@ -383,16 +383,3 @@ def edge_crossings(
         counts_out[lo : lo + width] = crossings
         censored_out[lo : lo + width] = censored
     return counts_out, censored_out
-
-
-def crossing_ensemble(
-    env: CookieEnvironment,
-    trials: int,
-    cap_steps: int,
-    master_seed: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right crossings of the edge (0, 1) only; see ``edge_crossings``."""
-    counts, censored = edge_crossings(
-        env, trials, cap_steps, edges=(0,), master_seed=master_seed
-    )
-    return counts[:, 0], censored

@@ -1,9 +1,9 @@
 """Monte Carlo step samplers cross-validated against the exact DP.
 
-Every sampling route (per-failure runs, whole-period batching, dyadic
-block composition, prefix + tail) is held to the same standard: its
-draw frequencies must match the DP law, judged by a chi-square z-score
-with fixed seeds.
+Every sampling route (dyadic block composition for periodic piles,
+prefix + tail, and the trial-by-trial reference) is held to the same
+standard: its draw frequencies must match the DP law, judged by a
+chi-square z-score with fixed seeds.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import pytest
 
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.kks import (
-    _DYADIC_MIN,
-    _dyadic,
-    _period_sampler,
     _prefix_tail_draws,
     asymptotic_mu,
     empirical_ladder,
@@ -55,9 +52,14 @@ def _chi_square_z(env, x, draws):
 # ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("x", [1, 5, 20])
-def test_run_sampler_frequencies_match_dp(x):
-    env = make_periodic((0.9, 0.1))
+@pytest.mark.parametrize(
+    "pile,x",
+    [((0.9, 0.1), x) for x in (1, 5, 20)] + [((0.99, 0.98), x) for x in (1, 5, 20, 600)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_periodic_sampler_frequencies_match_dp(pile, x):
+    # (0.99, 0.98) has a success-run tail of about 2,600 slots per failure
+    env = make_periodic(pile)
     rng = substream(S, TAG_GENERAL, 10, x)
     draws = sample_U_many(env, x, 1_000_000, rng)
     assert abs(_chi_square_z(env, x, draws)) < 4.0
@@ -66,19 +68,16 @@ def test_run_sampler_frequencies_match_dp(x):
 def test_dyadic_sampler_frequencies_match_dp():
     env = make_periodic((0.7, 0.3))
     x = 600
-    assert x > _DYADIC_MIN  # exercises the block-composition route
     rng = substream(S, TAG_GENERAL, 20)
     draws = sample_U_many(env, x, 200_000, rng)
     assert abs(_chi_square_z(env, x, draws)) < 4.0
 
 
-def test_period_batch_sampler_frequencies_match_dp():
-    env = make_periodic((0.8, 0.3, 0.4, 0.5))
-    x = 40
-    rng = substream(S, TAG_GENERAL, 21)
-    sampler = _period_sampler(env)
-    draws = np.array([sampler.draw_one(x, rng) for _ in range(60_000)])
-    assert abs(_chi_square_z(env, x, draws)) < 4.0
+def test_full_period_product_near_one_is_a_clean_error():
+    env = make_periodic((0.9999999, 0.9999998))
+    rng = substream(S, TAG_GENERAL, 29)
+    with pytest.raises(ValueError, match="too close to 1"):
+        sample_U_many(env, 5, 10, rng)
 
 
 def test_reference_sampler_frequencies_match_dp():

@@ -43,6 +43,15 @@ def test_subcritical_chain_dies_fast():
     assert res.escaped == 0
 
 
+def test_long_success_runs_reach_the_scalar_stragglers():
+    # The full-period product 0.9702 gives a success-run tail of about
+    # 2,600 slots; the last few trials run through the dyadic sampler.
+    env = make_periodic((0.99, 0.98))
+    res = simulate_Z_ensemble(env, "right", 50, 50, master_seed=S)
+    assert res.survival_frequency > 0.9
+    assert res.escaped == res.survivors
+
+
 def test_survival_at_is_monotone_and_anchored():
     env = make_periodic((0.9, 0.1))
     res = simulate_Z_ensemble(env, "right", 2_000, 5_000, master_seed=S)
