@@ -243,135 +243,151 @@ def _bisect_rows(
 class _DyadicLevel(NamedTuple):
     k0: int
     width: int
-    joint: np.ndarray
-    flat_cdf: np.ndarray
+    rows: np.ndarray
+    cdf: np.ndarray
 
 
 class _DyadicSampler:
     """Exact draws of U(x), x >= 1, for periodic piles by dyadic block
     composition.
 
-    Consuming a block of 2^k failures from pile slot r yields a success
-    count and an end slot; the joint law at level k is the slot-indexed
-    convolution square of level k - 1 (computed by FFT).  One draw walks
-    the set bits of x from high to low, threading the slot state, with a
-    single inverse-CDF lookup per bit, so the cost per draw is
+    The run of successes before a failure splits as d + M*t: d < M is
+    the slot advance and t counts whole-period wraps.  The wraps are
+    geometric with success 1 - P, P the full-period product, and
+    independent of the slot walk, so over x failures they add M times a
+    single NB(x, 1 - P) draw.  The levels carry the rest: ``rows[r, s]``
+    of level k is the chance that 2^k failures from slot r advance the
+    slot by k0 + s in total.  They end at slot r + k0 + s + 2^k (mod M),
+    so level k + 1 is a slot-threaded convolution square of level k
+    (computed by FFT).  One draw walks the set bits of x from high to
+    low with one inverse-CDF lookup per bit, so the cost per draw is
     logarithmic in x.  Levels extend lazily as larger x appear.
 
-    Level 0 is the closed-form success-run law: a run of g = d + M*t
-    successes from slot r has mass prods[r, d] * q[r + d] * P^t, with P
-    the full-period product, tabulated for t < ceil(log _TAIL / log P)
-    so that at most ``_TAIL`` of each row lies beyond the table.
+    A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
+    still make the square large, so no level is built whose transform
+    would exceed ``_MAX_BINS`` complex bins; draws then take whole blocks
+    of the top level, down to one failure at a time for the longest
+    periods.
 
     Error per level: each level trims at most ``_TAIL`` of its mass from
-    either end of the success count and renormalizes.  After an FFT
-    square, entries below 64 * eps * (largest entry) are set to 0.  That
-    floor sits above the ``irfft`` round-off, which would otherwise
-    survive the trim and widen every level linearly in 2^k instead of
-    like sqrt(2^k).  Each entry moves by less than the floor, so a row of
-    m * n entries moves by at most 64 * eps * m * n in total variation
-    before renormalizing.  A draw at x adds up these bounds over the
-    bit_length(x) levels it reads; on (0.9, 0.1) the measured total
-    variation to the oracle is 5e-12 at x = 4096.
+    either end of the advance and renormalizes.  After an FFT square of
+    transform size n, entries below eps * log2(n) times the largest entry
+    are set to 0.  That floor sits at the ``irfft`` round-off, which would
+    otherwise survive the trim and widen every level linearly in 2^k
+    instead of like sqrt(2^k).  Each entry moves by less than the floor,
+    so a row of w entries moves by at most w * eps * log2(n) * max in
+    total variation before renormalizing.  Measured against the oracle,
+    the law of U(2^k) is within 4e-15 in total variation at k = 8 and
+    6e-14 at k = 12 on (0.9, 0.1) and (0.9, 0.9, 0.1, 0.1).
     """
 
     _TAIL = 1e-17
-    # Cap on level-0 entries (m * m * width, 32 MiB): the success-run
-    # tail spans about 39 / (1 - P) periods, gigabytes as P nears 1.
-    _MAX_LEVEL0 = 1 << 22
+    _MAX_BINS = 1 << 22
 
     def __init__(self, env: CookieEnvironment):
         m = len(env.params)
         self.m = m
         q = 1.0 - np.asarray(env.params, dtype=float)
         prods = _cyclic_products(env.params)
-        full = float(prods[0, m])
-        wraps = math.ceil(math.log(self._TAIL) / math.log(full)) if full > 0.0 else 0
-        width = m * max(wraps, 1)
-        if m * m * width > self._MAX_LEVEL0:
-            raise ValueError(
-                f"full-period product {full!r} is too close to 1: "
-                f"the success-run tail needs {width} slots"
-            )
-        g = np.arange(width)
-        d = g % m
         r = np.arange(m).reshape(m, 1)
-        mass = prods[r, d] * q[(r + d) % m] * full ** (g // m)
-        joint = np.zeros((m, m, width))
-        joint[r, (r + d + 1) % m, g] = mass
-        self.levels: list[_DyadicLevel] = [self._finish(0, joint)]
+        d = np.arange(m)
+        # Advance d, then a failure; each row sums to 1 - P, which the
+        # sum gives without the cancellation of 1 - P itself.
+        runs = prods[r, d] * q[(r + d) % m]
+        self.fail = min(float(runs[0].sum()), 1.0)
+        self.levels: list[_DyadicLevel] = [self._finish(0, runs)]
 
-    def _finish(self, k0: int, joint: np.ndarray) -> _DyadicLevel:
-        m = self.m
-        col = joint.sum(axis=(0, 1))
-        cs = np.cumsum(col)
+    def _finish(self, k0: int, rows: np.ndarray) -> _DyadicLevel:
+        cs = np.cumsum(rows.sum(axis=0))
         total = cs[-1]
         a = int(np.searchsorted(cs, self._TAIL * total, side="left"))
         b = int(np.searchsorted(cs, (1.0 - self._TAIL) * total, side="left")) + 1
-        joint = np.ascontiguousarray(joint[:, :, a:b])
-        w = joint.shape[2]
-        flat = joint.reshape(m, m * w)
-        sums = flat.sum(axis=1)
-        joint = joint / sums.reshape(m, 1, 1)
-        cdf = np.cumsum(flat / sums.reshape(m, 1), axis=1)
+        rows = rows[:, a:b]
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(rows, axis=1)
         cdf[:, -1] = 1.0
-        return _DyadicLevel(k0 + a, w, joint, cdf)
+        return _DyadicLevel(k0 + a, b - a, rows, cdf)
 
-    def _extend(self) -> None:
+    def _extend(self) -> bool:
+        """Build the next level; False if it would exceed the bin cap."""
         prev = self.levels[-1]
+        m = self.m
         w = prev.width
         n = 2 * w - 1
         size = 1 << (n - 1).bit_length()
-        fa = np.fft.rfft(prev.joint, size, axis=2)
-        fc = np.einsum("abf,bcf->acf", fa, fa)
-        out = np.fft.irfft(fc, size, axis=2)[:, :, :n]
-        out[out < 64 * np.finfo(float).eps * out.max()] = 0.0
+        if m * m * (size // 2 + 1) > self._MAX_BINS:
+            return False
+        # split[r, c] keeps the advances of row r that are c mod M
+        s = np.arange(w)
+        split = np.zeros((m, m, w))
+        split[:, (prev.k0 + s) % m, s] = prev.rows
+        fa = np.fft.rfft(split, size, axis=2)
+        fb = np.fft.rfft(prev.rows, size, axis=1)
+        r = np.arange(m)
+        block = 1 << (len(self.levels) - 1)
+        fc = np.zeros_like(fb)
+        for c in range(m):
+            fc += fa[:, c] * fb[(r + c + block) % m]
+        out = np.fft.irfft(fc, size, axis=1)[:, :n]
+        out[out < np.finfo(float).eps * math.log2(size) * out.max()] = 0.0
         self.levels.append(self._finish(2 * prev.k0, out))
+        return True
 
-    def ensure(self, x_max: int) -> None:
-        while len(self.levels) < max(int(x_max), 1).bit_length():
-            self._extend()
+    def _top(self, x_max: int) -> int:
+        """Extend the levels for x_max; return the level draws start from."""
+        while len(self.levels) < x_max.bit_length() and self._extend():
+            pass
+        return min(len(self.levels), x_max.bit_length()) - 1
+
+    def _advance(
+        self,
+        k: int,
+        sel: np.ndarray,
+        out: np.ndarray,
+        state: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Move the draws ``sel`` through one block of 2^k failures."""
+        lvl = self.levels[k]
+        u = rng.random(len(sel))
+        st = state[sel]
+        for r in range(self.m):
+            g = np.flatnonzero(st == r)
+            if len(g) == 0:
+                continue
+            adv = lvl.k0 + np.searchsorted(lvl.cdf[r], u[g], side="right")
+            tgt = sel[g]
+            out[tgt] += adv
+            state[tgt] = (r + adv + (1 << k)) % self.m
 
     def draw(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         if np.any(xs < 1):
             raise ValueError("dyadic sampler serves x >= 1")
-        top = int(xs.max())
-        self.ensure(top)
+        top = self._top(int(xs.max()))
         out = np.zeros(len(xs), dtype=np.int64)
         state = np.zeros(len(xs), dtype=np.int64)
-        for k in range(top.bit_length() - 1, -1, -1):
-            sel = np.flatnonzero((xs >> k) & 1)
-            if len(sel) == 0:
-                continue
-            lvl = self.levels[k]
-            u = rng.random(len(sel))
-            st = state[sel]
-            for r in range(self.m):
-                g = np.flatnonzero(st == r)
-                if len(g) == 0:
-                    continue
-                idx = np.searchsorted(lvl.flat_cdf[r], u[g], side="right")
-                tgt = sel[g]
-                out[tgt] += lvl.k0 + idx % lvl.width
-                state[tgt] = idx // lvl.width
-        return out
+        blocks = xs >> top
+        for j in range(int(blocks.max())):
+            self._advance(top, np.flatnonzero(blocks > j), out, state, rng)
+        for k in range(top - 1, -1, -1):
+            self._advance(k, np.flatnonzero((xs >> k) & 1), out, state, rng)
+        return out + self.m * rng.negative_binomial(xs, self.fail)
 
     def draw_one(self, x: int, rng: np.random.Generator) -> int:
         x = int(x)
         if x < 1:
             raise ValueError("dyadic sampler serves x >= 1")
-        self.ensure(x)
+        top = self._top(x)
+        ks = [top] * (x >> top) + [k for k in range(top - 1, -1, -1) if (x >> k) & 1]
         out = 0
         r = 0
-        for k in range(x.bit_length() - 1, -1, -1):
-            if not (x >> k) & 1:
-                continue
+        for k in ks:
             lvl = self.levels[k]
-            idx = int(np.searchsorted(lvl.flat_cdf[r], rng.random(), side="right"))
-            out += lvl.k0 + idx % lvl.width
-            r = idx // lvl.width
-        return out
+            adv = lvl.k0 + int(np.searchsorted(lvl.cdf[r], rng.random(), side="right"))
+            out += adv
+            r = (r + adv + (1 << k)) % self.m
+        return out + self.m * int(rng.negative_binomial(x, self.fail))
 
 
 # Ensemble batches at or below this size fall back to scalar draws.
@@ -709,7 +725,10 @@ def simulate_Z_ensemble(
                 k[small] = table.draw(x[small], u[small])
             if not np.all(small):
                 big = ~small
-                k[big] = _large_draws(eff, x[big], rng)
+                if eff.kind is EnvKind.PERIODIC:
+                    k[big] = _dyadic(eff).draw(x[big], rng)
+                else:
+                    k[big] = _prefix_tail_draws(eff, x[big], int(big.sum()), rng)
         z[idx] = k
         dead = k == 0
         if np.any(dead):
@@ -746,15 +765,6 @@ def simulate_Z_ensemble(
                     break
             z[j] = zz
     return ZEnsembleResult(direction, horizon, trials, death, escaped)
-
-
-def _large_draws(
-    env: CookieEnvironment, xs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draws for sizes beyond the table cap, vectorized."""
-    if env.kind is EnvKind.PERIODIC:
-        return _dyadic(env).draw(xs, rng)
-    return _prefix_tail_draws(env, xs, len(xs), rng)
 
 
 # ---------------------------------------------------------------------

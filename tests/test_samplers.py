@@ -13,6 +13,7 @@ import pytest
 
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.kks import (
+    _dyadic,
     _prefix_tail_draws,
     asymptotic_mu,
     empirical_ladder,
@@ -54,11 +55,14 @@ def _chi_square_z(env, x, draws):
 
 @pytest.mark.parametrize(
     "pile,x",
-    [((0.9, 0.1), x) for x in (1, 5, 20)] + [((0.99, 0.98), x) for x in (1, 5, 20, 600)],
+    [((0.9, 0.1), x) for x in (1, 5, 20)]
+    + [((0.99, 0.98), x) for x in (1, 5, 20, 600)]
+    + [((0.996, 0.994), x) for x in (1, 5)],
     ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
 )
 def test_periodic_sampler_frequencies_match_dp(pile, x):
-    # (0.99, 0.98) has a success-run tail of about 2,600 slots per failure
+    # Full-period products near 1 give long runs of whole-period wraps
+    # per failure: 33 on average for (0.99, 0.98), 99 for (0.996, 0.994).
     env = make_periodic(pile)
     rng = substream(S, TAG_GENERAL, 10, x)
     draws = sample_U_many(env, x, 1_000_000, rng)
@@ -73,11 +77,28 @@ def test_dyadic_sampler_frequencies_match_dp():
     assert abs(_chi_square_z(env, x, draws)) < 4.0
 
 
-def test_full_period_product_near_one_is_a_clean_error():
+def test_full_period_product_near_one_keeps_levels_narrow():
+    # 1 - P is 3e-7: the wraps are one negative binomial per draw, and
+    # the levels hold only the slot advance, below M per failure.
     env = make_periodic((0.9999999, 0.9999998))
+    x = 1024
+    rng = substream(S, TAG_GENERAL, 28)
+    draws = sample_U_many(env, x, 1_000, rng)
+    levels = _dyadic(env).levels
+    assert all(lvl.width <= (1 << k) + 1 for k, lvl in enumerate(levels))
+    assert draws.mean() / x == pytest.approx(asymptotic_mu(env), rel=5e-3)
+
+
+def test_long_period_draws_repeat_the_top_level():
+    env = make_periodic(tuple(np.linspace(0.2, 0.8, 170)))
+    x = 200
     rng = substream(S, TAG_GENERAL, 29)
-    with pytest.raises(ValueError, match="too close to 1"):
-        sample_U_many(env, 5, 10, rng)
+    draws = sample_U_many(env, x, 200_000, rng)
+    # the level cap stops short of x, so the draws take whole top blocks
+    assert len(_dyadic(env).levels) < x.bit_length()
+    assert abs(_chi_square_z(env, x, draws)) < 4.0
+    singles = np.array([sample_U(env, x, rng) for _ in range(20_000)])
+    assert abs(_chi_square_z(env, x, singles)) < 4.0
 
 
 def test_reference_sampler_frequencies_match_dp():

@@ -44,8 +44,9 @@ def test_subcritical_chain_dies_fast():
 
 
 def test_long_success_runs_reach_the_scalar_stragglers():
-    # The full-period product 0.9702 gives a success-run tail of about
-    # 2,600 slots; the last few trials run through the dyadic sampler.
+    # The full-period product 0.9702 gives long success runs, 33
+    # whole-period wraps per failure on average; the last few trials
+    # run one at a time through the dyadic sampler.
     env = make_periodic((0.99, 0.98))
     res = simulate_Z_ensemble(env, "right", 50, 50, master_seed=S)
     assert res.survival_frequency > 0.9
