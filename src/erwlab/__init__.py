@@ -70,7 +70,6 @@ from .walk import (
     ensemble_summary,
     ensemble_walks,
     run_walk,
-    run_walk_with_counts,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "parse_migration",
     "parse_offspring",
     "run_walk",
-    "run_walk_with_counts",
     "sample_U",
     "sample_U_many",
     "simulate_Z",

@@ -180,20 +180,33 @@ class BpmEnsembleResult:
         return float(np.sum((d < 0) | (d > horizon))) / self.trials
 
 
-def _escape_threshold(model: BpmModel, horizon: int) -> Optional[int]:
-    # Same policy as the crossing chain.  Supercritical offspring: from
-    # the threshold the chance of ever absorbing is below 1e-12 by a
-    # Bernstein bound, so the run is settled as surviving.  Critical
-    # offspring: falling the threshold height within the horizon has
-    # probability below 1e-12; since each step here costs O(1) in the
-    # population, this branch is an overflow guard only.
-    if model.mu < 1.0 - _MU_ONE_TOL:
+def escape_threshold(
+    mu: float, vr: float, down: float, horizon: int
+) -> Optional[int]:
+    """Size above which an absorbing run is declared to survive.
+
+    Shared by the population chain and the crossing chain: ``mu`` is the
+    asymptotic mean step ratio, ``vr`` an upper bound on the variance
+    rate Var(step from z) / z, and ``down`` any constant downward drift.
+
+    Supercritical drift (mu > 1): one step from height z stays above
+    (1 + (mu-1)/2) z except with probability exp(-z (mu-1)^2 / (8 vr))
+    by a Bernstein bound, so from the returned threshold the chance of
+    ever absorbing is below 1e-12 even after a union over the horizon.
+    Without a threshold these runs grow forever.
+
+    Critical drift (mu = 1): falling a height z within H steps has
+    quadratic variation at most vr * z * H, giving a bound of roughly
+    exp(-z / (2 vr H)).  The returned threshold of about 56 * vr * H
+    (plus a term covering the downward drift) makes that below 1e-12.
+    Typical surviving runs stay an order of magnitude lower, so this
+    path is an overflow guard, not a shortcut.
+    """
+    if mu < 1.0 - _MU_ONE_TOL:
         return None
-    vr = max(model.offspring.var + model.migration.var, 0.5)
-    down = max(0.0, -model.migration.mean)
     diffusive = int(math.ceil((56.0 * vr + 2.0 * down) * horizon)) + 64
-    if model.mu > 1.0 + 1e-9:
-        chernoff = int(math.ceil(100.0 * vr / ((model.mu - 1.0) ** 2))) + 64
+    if mu > 1.0 + 1e-9:
+        chernoff = int(math.ceil(100.0 * vr / ((mu - 1.0) ** 2))) + 64
         return min(chernoff, diffusive)
     return diffusive
 
@@ -213,7 +226,12 @@ def simulate_bpm(
     if master_seed is None:
         master_seed = default_seed()
     rng = substream(master_seed, TAG_BPM)
-    esc = _escape_threshold(model, horizon)
+    esc = escape_threshold(
+        model.mu,
+        max(model.offspring.var + model.migration.var, 0.5),
+        max(0.0, -model.migration.mean),
+        horizon,
+    )
     z = np.full(trials, initial, dtype=np.int64)
     death = np.full(trials, -1, dtype=np.int64)
     idx = np.arange(trials)

@@ -23,9 +23,9 @@ from . import kks, periodic, walk
 from .environments import CookieEnvironment, EnvKind, format_env, parse_env
 from .seeding import TAG_LADDER, TAG_LYAPUNOV, default_seed, substream
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
-_COMMON_DEFAULTS: dict[str, object] = {"seed": None, "out": None, "threads": 1}
+_COMMON_DEFAULTS: dict[str, object] = {"seed": None, "out": None}
 
 _DEFAULTS: dict[str, dict[str, object]] = {
     "classify": {"env": None, "positive_delta": None},
@@ -60,7 +60,6 @@ class RunConfig:
 
     command: str
     seed: int
-    threads: int
     out: Optional[str]
     params: tuple[tuple[str, object], ...]
 
@@ -77,11 +76,7 @@ class RunConfig:
         return value
 
     def echo(self) -> dict:
-        base: dict[str, object] = {
-            "command": self.command,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
+        base: dict[str, object] = {"command": self.command, "seed": self.seed}
         base.update(dict(self.params))
         return base
 
@@ -107,11 +102,9 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     if seed is None:
         seed = default_seed()
     out = merged.pop("out")
-    threads = merged.pop("threads")
     return RunConfig(
         command=command,
         seed=int(seed),  # config may carry it as a string
-        threads=int(threads),
         out=None if out is None else str(out),
         params=tuple(sorted(merged.items())),
     )
@@ -327,12 +320,7 @@ def _cmd_walk(cfg: RunConfig) -> list[list[object]]:
     trials = int(cfg.get("trials"))  # type: ignore[arg-type]
     every = int(cfg.get("emit_positions"))  # type: ignore[arg-type]
     traces = walk.ensemble_walks(
-        env,
-        steps,
-        trials,
-        master_seed=cfg.seed,
-        record_every=every,
-        threads=cfg.threads,
+        env, steps, trials, master_seed=cfg.seed, record_every=every
     )
     if every and cfg.get("positions_csv"):
         rows: list[list[object]] = [["trial", "step", "position"]]
@@ -410,7 +398,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="master seed")
     sub.add_argument("--config", default=None, help="JSON file with option defaults")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

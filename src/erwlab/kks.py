@@ -24,11 +24,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .bpm import escape_threshold
 from .environments import CookieEnvironment, EnvKind
 from .periodic import InternalConsistencyError, _cyclic_products, mu_periodic
 from .seeding import TAG_ZSIM, default_seed, substream
-
-_MU_ONE_TOL = 1e-12
 
 # Mass below this per-row threshold is trimmed from sampler tables; the
 # exact oracle is the precision route and never trims this way.
@@ -623,36 +622,17 @@ def _variance_rate(env: CookieEnvironment) -> float:
 
 
 def _escape_threshold(env: CookieEnvironment, horizon: int) -> Optional[int]:
-    """Size above which a run is declared to survive.
+    """Chain size above which a run is declared to survive.
 
-    Supercritical drift (mu > 1): one step from height z stays above
-    (1 + (mu-1)/2) z except with probability exp(-z (mu-1)^2 / (8 vr))
-    by a Bernstein bound with variance rate vr, so from the returned
-    threshold the chance of ever absorbing is below 1e-12 even after a
-    union over the horizon.  Without a threshold these runs grow forever.
-
-    Critical drift (mu = 1): falling a height z within H steps has
-    quadratic variation at most vr * z * H, giving a bound of roughly
-    exp(-z / (2 vr H)).  The returned threshold of about 56 * vr * H
-    (plus a term covering any constant downward drift of the size bias)
-    makes that below 1e-12.  Typical surviving runs stay an order of
-    magnitude lower, so this path is an overflow guard, not a shortcut.
+    The policy is ``bpm.escape_threshold``; this supplies the chain's
+    variance rate and the constant downward drift of its size bias.
     """
-    mu = asymptotic_mu(env)
-    if mu < 1.0 - _MU_ONE_TOL:
-        return None
-    vr = _variance_rate(env)
-    down = 0.0
     if env.kind is EnvKind.PERIODIC:
         down = 2.0 * float(env.period)
     else:
         delta = float(sum(2.0 * p - 1.0 for p in env.params))
         down = max(0.0, -delta)
-    diffusive = int(math.ceil((56.0 * vr + 2.0 * down) * horizon)) + 64
-    if mu > 1.0 + 1e-9:
-        chernoff = int(math.ceil(100.0 * vr / ((mu - 1.0) ** 2))) + 64
-        return min(chernoff, diffusive)
-    return diffusive
+    return escape_threshold(asymptotic_mu(env), _variance_rate(env), down, horizon)
 
 
 def simulate_Z(

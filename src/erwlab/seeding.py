@@ -2,7 +2,7 @@
 
 Every stochastic entry point advances a stream derived from a master seed
 and a small integer key, so equal configurations reproduce byte-identical
-results no matter how work is chunked across threads.
+results no matter how work is grouped or chunked.
 """
 
 from __future__ import annotations

@@ -1,21 +1,21 @@
 """Direct simulation of the cookie walk on the integers.
 
 A walker at a site with j prior visits steps right with the probability
-of cookie j+1 of the pile and left otherwise.  Site occupation counts
-only matter through the active cookie, so the ensemble engine stores
-them reduced (mod M for periodic piles, saturated at the prefix length
-for piles with a constant tail); the reduced representation consumes
-the same uniform draw per step as the full one and is trajectory-exact.
+of cookie j+1 of the pile and left otherwise.
 
-Ensembles give every trial its own substream keyed by the master seed
-and the trial index, and reduce results in trial order, so output is
-identical no matter how trials are chunked across threads.
+``run_walk`` is the scalar reference walk: it keeps raw visit counts.
+The lockstep engine behind ``ensemble_walks`` and ``edge_crossings``
+stores them reduced (mod M for periodic piles, saturated at the prefix
+length for piles with a constant tail), since only the active cookie
+matters; both consume one uniform per step, so they walk the same path.
+
+Every trial draws from its own substream keyed by the master seed, a
+stream tag and the trial index, and results are reduced in trial order,
+so output does not depend on how trials are grouped or chunked.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,6 +39,65 @@ class WalkTrace:
     first_hit_minus1: Optional[int]
     distinct_sites: int
     positions: Optional[np.ndarray] = field(default=None, compare=False)
+    local_times: Optional[dict[int, int]] = field(default=None, compare=False)
+
+
+def _check_sizes(
+    steps: int, trials: int, record_every: int, steps_name: str = "steps"
+) -> None:
+    if steps < 0:
+        raise ValueError(f"{steps_name} must be nonnegative, got {steps}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if record_every < 0:
+        raise ValueError(f"record_every must be nonnegative, got {record_every}")
+
+
+def run_walk(
+    env: CookieEnvironment,
+    steps: int,
+    rng: np.random.Generator,
+    record_every: int = 0,
+) -> WalkTrace:
+    """Simulate one walk from the origin for ``steps`` steps.
+
+    The reference walk: raw visit counts, one uniform per step.  Its
+    ``local_times`` map each visited site to its number of visits,
+    counting the arrival at the final site.
+    """
+    _check_sizes(steps, 1, record_every)
+    visits: dict[int, int] = {}
+    pos = minpos = maxpos = returns = 0
+    first_m1: Optional[int] = None
+    recorded = [0]
+    for k in range(1, steps + 1):
+        c = visits.get(pos, 0) + 1
+        visits[pos] = c
+        pos += 1 if rng.random() < env.cookie_at(c) else -1
+        if pos == 0:
+            returns += 1
+        if pos == -1 and first_m1 is None:
+            first_m1 = k
+        minpos = min(minpos, pos)
+        maxpos = max(maxpos, pos)
+        if record_every and k % record_every == 0:
+            recorded.append(pos)
+    visits[pos] = visits.get(pos, 0) + 1
+    return WalkTrace(
+        steps=steps,
+        final_position=pos,
+        max_abs_position=max(-minpos, maxpos),
+        returns_to_origin=returns,
+        first_hit_minus1=first_m1,
+        distinct_sites=maxpos - minpos + 1,
+        positions=np.asarray(recorded, dtype=np.int64) if record_every else None,
+        local_times=visits,
+    )
+
+
+# ---------------------------------------------------------------------
+# vectorized lockstep engine
+# ---------------------------------------------------------------------
 
 
 def _cookie_tables(env: CookieEnvironment) -> tuple[np.ndarray, np.ndarray]:
@@ -53,116 +112,12 @@ def _cookie_tables(env: CookieEnvironment) -> tuple[np.ndarray, np.ndarray]:
     return probs, nxt
 
 
-def run_walk(
-    env: CookieEnvironment,
-    steps: int,
-    rng: np.random.Generator,
-    count_mode: str = "reduced",
-    record_every: int = 0,
-) -> WalkTrace:
-    """Simulate one walk from the origin for ``steps`` steps.
-
-    ``count_mode`` chooses the occupation-count representation:
-    ``reduced`` keeps counts mod-M/saturated, ``full`` keeps raw counts.
-    Both consume one uniform per step and produce identical paths.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if count_mode not in ("reduced", "full"):
-        raise ValueError(f"unknown count mode {count_mode!r}")
-    probs, nxt = _cookie_tables(env)
-    m = env.period
-    periodic = env.kind is EnvKind.PERIODIC
-    tail = None if periodic else float(env.tail_value)  # type: ignore[arg-type]
-    counts: dict[int, int] = {}
-    pos = 0
-    minpos = maxpos = 0
-    returns = 0
-    first_m1: Optional[int] = None
-    recorded = [0] if record_every else None
-    for k in range(1, steps + 1):
-        c = counts.get(pos, 0)
-        if count_mode == "reduced":
-            p = probs[c]
-            counts[pos] = int(nxt[c])
-        else:
-            if periodic:
-                p = env.params[c % m]
-            else:
-                p = env.params[c] if c < m else tail
-            counts[pos] = c + 1
-        pos += 1 if rng.random() < p else -1
-        if pos == 0:
-            returns += 1
-        if pos == -1 and first_m1 is None:
-            first_m1 = k
-        minpos = min(minpos, pos)
-        maxpos = max(maxpos, pos)
-        if recorded is not None and k % record_every == 0:
-            recorded.append(pos)
-    return WalkTrace(
-        steps=steps,
-        final_position=pos,
-        max_abs_position=max(-minpos, maxpos),
-        returns_to_origin=returns,
-        first_hit_minus1=first_m1,
-        distinct_sites=maxpos - minpos + 1,
-        positions=None if recorded is None else np.asarray(recorded, dtype=np.int64),
-    )
-
-
-def run_walk_with_counts(
-    env: CookieEnvironment, steps: int, rng: np.random.Generator
-) -> tuple[WalkTrace, dict[int, int]]:
-    """Full-count walk that also returns the site local times."""
-    probs, _ = _cookie_tables(env)
-    m = env.period
-    periodic = env.kind is EnvKind.PERIODIC
-    tail = None if periodic else float(env.tail_value)  # type: ignore[arg-type]
-    counts: dict[int, int] = {}
-    pos = 0
-    minpos = maxpos = 0
-    returns = 0
-    first_m1: Optional[int] = None
-    for k in range(1, steps + 1):
-        c = counts.get(pos, 0)
-        counts[pos] = c + 1
-        if periodic:
-            p = env.params[c % m]
-        else:
-            p = env.params[c] if c < m else tail
-        pos += 1 if rng.random() < p else -1
-        if pos == 0:
-            returns += 1
-        if pos == -1 and first_m1 is None:
-            first_m1 = k
-        minpos = min(minpos, pos)
-        maxpos = max(maxpos, pos)
-    # the site being left last still owes its arrival count
-    counts[pos] = counts.get(pos, 0) + 1
-    trace = WalkTrace(
-        steps=steps,
-        final_position=pos,
-        max_abs_position=max(-minpos, maxpos),
-        returns_to_origin=returns,
-        first_hit_minus1=first_m1,
-        distinct_sites=maxpos - minpos + 1,
-    )
-    return trace, counts
-
-
-# ---------------------------------------------------------------------
-# vectorized ensembles
-# ---------------------------------------------------------------------
-
-
 class _Grid:
     """Resizable occupation-count grid for a group of walkers."""
 
     def __init__(self, width: int, half: int = 2048):
         self.half = half
         self.counts = np.zeros((width, 2 * half + 1), dtype=np.int16)
-        self.rows = np.arange(width)
 
     def ensure(self, amplitude: int) -> None:
         while amplitude >= self.half:
@@ -176,67 +131,89 @@ class _Grid:
 
     def compress(self, keep: np.ndarray) -> None:
         self.counts = self.counts[keep]
-        self.rows = np.arange(self.counts.shape[0])
 
 
-def _walk_group(
+def _lockstep(
     env: CookieEnvironment,
     steps: int,
-    seeds: Sequence[int],
+    ids: range,
     master_seed: int,
     tag: int,
-    record_every: int,
-) -> list[WalkTrace]:
+    record_every: int = 0,
+    edges: Optional[np.ndarray] = None,
+) -> dict[str, np.ndarray]:
+    """Walk trials ``ids`` side by side for up to ``steps`` steps.
+
+    Returns per-trial arrays in ``ids`` order: ``pos``, ``minpos``,
+    ``maxpos``, ``returns``, ``first_m1`` (-1 if the walk never hit -1),
+    ``rec`` (every ``record_every``-th position from step 0) and
+    ``crossings`` (right steps from each of ``edges`` before the first
+    hit of -1; no columns without ``edges``).
+
+    With ``edges`` given the walk is killed at -1: rows that have hit it
+    are dropped at the end of each chunk, and the chunk ends once every
+    row has hit it.  Of a killed row only ``first_m1`` and ``crossings``
+    are meaningful.  Each row draws its chunk of uniforms from its own
+    substream, so dropping rows changes no other row's draws.
+    """
     probs, nxt = _cookie_tables(env)
-    width = len(seeds)
-    gens = [substream(master_seed, tag, t) for t in seeds]
+    killed = edges is not None
+    lefts = edges if killed else np.empty(0, dtype=np.int64)
+    width = len(ids)
+    gens = [substream(master_seed, tag, t) for t in ids]
+    n_rec = steps // record_every + 1 if record_every else 0
+    state = {
+        "pos": np.zeros(width, dtype=np.int64),
+        "minpos": np.zeros(width, dtype=np.int64),
+        "maxpos": np.zeros(width, dtype=np.int64),
+        "returns": np.zeros(width, dtype=np.int64),
+        "first_m1": np.full(width, -1, dtype=np.int64),
+        "rec": np.zeros((width, n_rec), dtype=np.int64),
+        "crossings": np.zeros((width, len(lefts)), dtype=np.int64),
+    }
+    out = {name: np.empty_like(a) for name, a in state.items()}
+    live = np.arange(width)
     grid = _Grid(width)
-    pos = np.zeros(width, dtype=np.int64)
-    minpos = np.zeros(width, dtype=np.int64)
-    maxpos = np.zeros(width, dtype=np.int64)
-    returns = np.zeros(width, dtype=np.int64)
-    first_m1 = np.full(width, -1, dtype=np.int64)
-    n_rec = steps // record_every if record_every else 0
-    rec = np.zeros((width, n_rec + 1), dtype=np.int64) if record_every else None
-    u = np.empty((width, _STEP_CHUNK))
-    done = 0
-    while done < steps:
-        cs = min(_STEP_CHUNK, steps - done)
-        for i, g in enumerate(gens):
-            u[i, :cs] = g.random(cs)
+    # Chunks double up to _STEP_CHUNK, so killed rows that die early are
+    # dropped early; a row's draws do not depend on the chunk sizes.
+    done, chunk = 0, 64
+    while done < steps and len(live) > 0:
+        cs = min(chunk, steps - done)
+        chunk = min(2 * chunk, _STEP_CHUNK)
+        u = np.stack([gens[i].random(cs) for i in live])
+        pos, minpos, maxpos, returns, first_m1, rec, crossings = state.values()
+        alive = first_m1 < 0
         grid.ensure(int(np.max(np.abs(pos))) + cs + 1)
-        counts = grid.counts
-        rows = grid.rows
-        half = grid.half
+        counts, half, rows = grid.counts, grid.half, np.arange(len(live))
         for s in range(cs):
             k = done + s + 1
             col = pos + half
             c = counts[rows, col]
             counts[rows, col] = nxt[c]
             right = u[:, s] < probs[c]
+            if killed:
+                crossings += (pos[:, None] == lefts) & (right & alive)[:, None]
             np.add(pos, np.where(right, 1, -1), out=pos)
             returns += pos == 0
-            hit = (first_m1 < 0) & (pos == -1)
+            hit = alive & (pos == -1)
             if np.any(hit):
                 first_m1[hit] = k
+                alive = first_m1 < 0
+                if killed and not alive.any():
+                    break
             np.minimum(minpos, pos, out=minpos)
             np.maximum(maxpos, pos, out=maxpos)
-            if rec is not None and k % record_every == 0:
+            if record_every and k % record_every == 0:
                 rec[:, k // record_every] = pos
         done += cs
-    out = []
-    for i in range(width):
-        out.append(
-            WalkTrace(
-                steps=steps,
-                final_position=int(pos[i]),
-                max_abs_position=int(max(-minpos[i], maxpos[i])),
-                returns_to_origin=int(returns[i]),
-                first_hit_minus1=None if first_m1[i] < 0 else int(first_m1[i]),
-                distinct_sites=int(maxpos[i] - minpos[i] + 1),
-                positions=None if rec is None else rec[i].copy(),
-            )
-        )
+        if killed and not alive.all():
+            for name, a in state.items():
+                out[name][live[~alive]] = a[~alive]
+                state[name] = a[alive]
+            live = live[alive]
+            grid.compress(alive)
+    for name, a in state.items():
+        out[name][live] = a
     return out
 
 
@@ -246,30 +223,29 @@ def ensemble_walks(
     trials: int,
     master_seed: Optional[int] = None,
     record_every: int = 0,
-    threads: int = 1,
 ) -> list[WalkTrace]:
     """Independent walks, one substream per trial, in trial order."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_sizes(steps, trials, record_every)
     if master_seed is None:
         master_seed = default_seed()
-    groups = [
-        list(range(lo, min(lo + _GROUP, trials))) for lo in range(0, trials, _GROUP)
-    ]
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda g: _walk_group(env, steps, g, master_seed, TAG_WALK, record_every),
-                    groups,
+    traces = []
+    for lo in range(0, trials, _GROUP):
+        ids = range(lo, min(lo + _GROUP, trials))
+        g = _lockstep(env, steps, ids, master_seed, TAG_WALK, record_every)
+        for i in range(len(ids)):
+            first = int(g["first_m1"][i])
+            traces.append(
+                WalkTrace(
+                    steps=steps,
+                    final_position=int(g["pos"][i]),
+                    max_abs_position=int(max(-g["minpos"][i], g["maxpos"][i])),
+                    returns_to_origin=int(g["returns"][i]),
+                    first_hit_minus1=None if first < 0 else first,
+                    distinct_sites=int(g["maxpos"][i] - g["minpos"][i] + 1),
+                    positions=g["rec"][i] if record_every else None,
                 )
             )
-    else:
-        parts = [
-            _walk_group(env, steps, g, master_seed, TAG_WALK, record_every)
-            for g in groups
-        ]
-    return [t for part in parts for t in part]
+    return traces
 
 
 @dataclass(frozen=True)
@@ -284,20 +260,6 @@ class WalkEnsembleSummary:
     first_hit_minus1_frequency: float
     mean_max_abs_position: float
     mean_distinct_sites: float
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "steps": self.steps,
-            "mean_final_position": self.mean_final_position,
-            "median_final_position": self.median_final_position,
-            "fraction_final_positive": self.fraction_final_positive,
-            "mean_returns_to_origin": self.mean_returns_to_origin,
-            "median_returns_to_origin": self.median_returns_to_origin,
-            "first_hit_minus1_frequency": self.first_hit_minus1_frequency,
-            "mean_max_abs_position": self.mean_max_abs_position,
-            "mean_distinct_sites": self.mean_distinct_sites,
-        }
 
 
 def ensemble_summary(traces: Sequence[WalkTrace]) -> WalkEnsembleSummary:
@@ -335,51 +297,15 @@ def edge_crossings(
     the trial did not reach -1 within ``cap_steps``, leaving its row a
     lower bound.
     """
+    _check_sizes(cap_steps, trials, 0, "cap_steps")
     if master_seed is None:
         master_seed = default_seed()
     lefts = np.asarray(list(edges), dtype=np.int64)
-    counts_out = np.zeros((trials, len(lefts)), dtype=np.int64)
-    censored_out = np.zeros(trials, dtype=bool)
-    for lo in range(0, trials, _GROUP):
-        ids = list(range(lo, min(lo + _GROUP, trials)))
-        probs, nxt = _cookie_tables(env)
-        width = len(ids)
-        gens = [substream(master_seed, TAG_CROSSINGS, t) for t in ids]
-        grid = _Grid(width)
-        pos = np.zeros(width, dtype=np.int64)
-        crossings = np.zeros((width, len(lefts)), dtype=np.int64)
-        active = np.arange(width)
-        done = 0
-        while done < cap_steps and len(active) > 0:
-            cs = min(_STEP_CHUNK, cap_steps - done)
-            u = np.empty((len(active), cs))
-            for i, a in enumerate(active):
-                u[i] = gens[a].random(cs)
-            grid.ensure(int(np.max(np.abs(pos[active]))) + cs + 1)
-            counts = grid.counts
-            half = grid.half
-            alive = np.ones(len(active), dtype=bool)
-            rows = np.arange(len(active))
-            for s in range(cs):
-                r = rows[alive]
-                if len(r) == 0:
-                    break
-                col = pos[active[r]] + half
-                c = counts[r, col]
-                counts[r, col] = nxt[c]
-                right = u[r, s] < probs[c]
-                here = pos[active[r]]
-                for j, e in enumerate(lefts):
-                    crossings[active[r], j] += ((here == e) & right).astype(np.int64)
-                pos[active[r]] += np.where(right, 1, -1)
-                alive[r] = pos[active[r]] != -1
-            done += cs
-            keep = alive
-            if not np.all(keep):
-                grid.compress(keep)
-                active = active[keep]
-        censored = np.zeros(width, dtype=bool)
-        censored[active] = True
-        counts_out[lo : lo + width] = crossings
-        censored_out[lo : lo + width] = censored
-    return counts_out, censored_out
+    groups = [
+        _lockstep(env, cap_steps, range(lo, min(lo + _GROUP, trials)),
+                  master_seed, TAG_CROSSINGS, edges=lefts)
+        for lo in range(0, trials, _GROUP)
+    ]
+    counts = np.concatenate([g["crossings"] for g in groups])
+    censored = np.concatenate([g["first_m1"] < 0 for g in groups])
+    return counts, censored

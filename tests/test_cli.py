@@ -38,7 +38,7 @@ def _run_csv(capsys, argv):
 
 def test_classify_critical_periodic_payload(capsys):
     payload = _run_json(capsys, ["classify", "--env", "periodic:0.9,0.1"])
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["config"]["command"] == "classify"
     assert payload["config"]["seed"] == DEFAULT_SEED
     r = payload["result"]
@@ -336,6 +336,19 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
 def test_missing_required_option_is_a_clean_error(capsys):
     code, out, err = _run(capsys, ["classify"])
     assert code == 2
+    assert "erwlab: error" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--steps", "-5"], ["--emit-positions", "-3"]],
+    ids=["negative-steps", "negative-record"],
+)
+def test_bad_walk_sizes_are_clean_errors(capsys, flags):
+    argv = ["walk", "--env", "periodic:0.5,0.5", "--steps", "10"] + flags
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
     assert "erwlab: error" in err
 
 

@@ -1,9 +1,9 @@
-"""Direct walk simulation: reduced counts, ensembles, crossings.
+"""Direct walk simulation: the scalar reference walk, ensembles, crossings.
 
-The reduced occupation-count representation must be trajectory-exact,
-ensembles must be reproducible row by row from per-trial substreams,
-and the right-crossing counts of the killed walk must follow the same
-law as the crossing chain built from exact step draws.
+The lockstep engine keeps reduced occupation counts; its ensemble and
+crossing rows must reproduce the raw-count scalar walk on each trial's
+substream, and the right-crossing counts of the killed walk must follow
+the same law as the crossing chain built from exact step draws.
 """
 
 from __future__ import annotations
@@ -14,32 +14,21 @@ from scipy import stats
 
 from erwlab.environments import make_bounded, make_periodic
 from erwlab.kks import sample_U
-from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_WALK, substream
-from erwlab.walk import (
-    edge_crossings,
-    ensemble_summary,
-    ensemble_walks,
-    run_walk,
-    run_walk_with_counts,
-)
+from erwlab.seeding import DEFAULT_SEED, TAG_CROSSINGS, TAG_GENERAL, TAG_WALK, substream
+from erwlab.walk import edge_crossings, ensemble_summary, ensemble_walks, run_walk
 
 S = DEFAULT_SEED
+
+PILES = pytest.mark.parametrize(
+    "env",
+    [make_periodic((0.9, 0.1)), make_periodic((0.7, 0.3, 0.4)), make_bounded((0.9, 0.8))],
+    ids=["per2", "per3", "bounded"],
+)
 
 
 # ---------------------------------------------------------------------
 # single walks
 # ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "env",
-    [make_periodic((0.9, 0.1)), make_periodic((0.7, 0.3, 0.4)), make_bounded((0.9, 0.8))],
-    ids=["per2", "per3", "bounded"],
-)
-def test_reduced_and_full_counts_walk_the_same_path(env):
-    a = run_walk(env, 4_000, substream(S, TAG_GENERAL, 50), count_mode="reduced")
-    b = run_walk(env, 4_000, substream(S, TAG_GENERAL, 50), count_mode="full")
-    assert a == b
 
 
 def test_final_position_has_step_parity():
@@ -51,7 +40,9 @@ def test_final_position_has_step_parity():
 
 def test_local_times_account_for_every_step():
     env = make_periodic((0.8, 0.3))
-    trace, counts = run_walk_with_counts(env, 2_500, substream(S, TAG_GENERAL, 52))
+    trace = run_walk(env, 2_500, substream(S, TAG_GENERAL, 52))
+    counts = trace.local_times
+    assert counts is not None
     assert sum(counts.values()) == 2_500 + 1
     assert counts.get(trace.final_position, 0) >= 1
     assert len(counts) >= trace.distinct_sites - 1
@@ -73,7 +64,23 @@ def test_run_walk_argument_validation():
     with pytest.raises(ValueError):
         run_walk(env, -1, rng)
     with pytest.raises(ValueError):
-        run_walk(env, 10, rng, count_mode="compressed")
+        run_walk(env, 10, rng, record_every=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda env: ensemble_walks(env, -5, 2),
+        lambda env: ensemble_walks(env, 5, 0),
+        lambda env: ensemble_walks(env, 5, 2, record_every=-3),
+        lambda env: edge_crossings(env, 3, -4),
+        lambda env: edge_crossings(env, 0, 10),
+    ],
+    ids=["negative-steps", "no-trials", "negative-record", "negative-cap", "no-crossing-trials"],
+)
+def test_ensemble_entry_points_reject_bad_sizes(call):
+    with pytest.raises(ValueError):
+        call(make_periodic((0.5, 0.5)))
 
 
 # ---------------------------------------------------------------------
@@ -81,19 +88,15 @@ def test_run_walk_argument_validation():
 # ---------------------------------------------------------------------
 
 
-def test_ensemble_rows_reproduce_scalar_substream_runs():
-    env = make_periodic((0.9, 0.1))
-    traces = ensemble_walks(env, 500, 8, master_seed=S)
+@PILES
+def test_ensemble_rows_reproduce_scalar_substream_runs(env):
+    # reduced counts in the engine against raw counts in the reference,
+    # across step chunks and a recording grid that does not divide steps
+    traces = ensemble_walks(env, 2_500, 8, master_seed=S, record_every=7)
     for i in (0, 3, 7):
-        solo = run_walk(env, 500, substream(S, TAG_WALK, i))
+        solo = run_walk(env, 2_500, substream(S, TAG_WALK, i), record_every=7)
         assert traces[i] == solo
-
-
-def test_thread_count_does_not_change_results():
-    env = make_periodic((0.7, 0.3))
-    one = ensemble_walks(env, 300, 2_500, master_seed=S, threads=1)
-    two = ensemble_walks(env, 300, 2_500, master_seed=S, threads=2)
-    assert one == two
+        assert np.array_equal(traces[i].positions, solo.positions)
 
 
 def test_strong_right_drift_shows_in_the_ensemble():
@@ -145,6 +148,27 @@ def test_edge_crossings_match_chain_law():
     d2 = stats.ks_2samp(counts[:, 1], z2, method="asymp")
     assert d1.pvalue > 0.01
     assert d2.pvalue > 0.01
+
+
+def test_edge_crossings_rows_reproduce_scalar_substream_runs():
+    # Transient pile and a cap spanning several step chunks: some trials
+    # hit -1 in the first chunk, some in a later one, some are censored.
+    env = make_periodic((0.9, 0.9, 0.1, 0.1))
+    n, cap, edges = 16, 3_000, (0, 1, 3)
+    counts, censored = edge_crossings(env, n, cap, edges=edges, master_seed=S)
+    deaths = []
+    for i in range(n):
+        solo = run_walk(env, cap, substream(S, TAG_CROSSINGS, i), record_every=1)
+        assert solo.positions is not None
+        stop = cap if solo.first_hit_minus1 is None else solo.first_hit_minus1
+        here, there = solo.positions[:stop], solo.positions[1 : stop + 1]
+        right = there == here + 1
+        expect = [int(np.sum(right & (here == e))) for e in edges]
+        assert counts[i].tolist() == expect
+        assert censored[i] == (solo.first_hit_minus1 is None)
+        deaths.append(solo.first_hit_minus1)
+    hit = [d for d in deaths if d is not None]
+    assert min(hit) < 64 and max(hit) > 1_024 and None in deaths
 
 
 def test_crossing_counts_censor_at_the_cap():
