@@ -88,10 +88,19 @@ def test_ensemble_entry_points_reject_bad_sizes(call):
 # ---------------------------------------------------------------------
 
 
+def test_ensemble_rows_reproduce_scalar_substream_runs():
+    env = make_periodic((0.9, 0.1))
+    traces = ensemble_walks(env, 500, 8, master_seed=S)
+    for i in (0, 3, 7):
+        solo = run_walk(env, 500, substream(S, TAG_WALK, i))
+        assert traces[i] == solo
+
+
 @PILES
-def test_ensemble_rows_reproduce_scalar_substream_runs(env):
-    # reduced counts in the engine against raw counts in the reference,
-    # across step chunks and a recording grid that does not divide steps
+def test_reduced_and_full_counts_walk_the_same_path(env):
+    # reduced counts in the engine against raw counts in the scalar
+    # reference, across step chunks and a recording grid that does not
+    # divide steps
     traces = ensemble_walks(env, 2_500, 8, master_seed=S, record_every=7)
     for i in (0, 3, 7):
         solo = run_walk(env, 2_500, substream(S, TAG_WALK, i), record_every=7)
