@@ -302,6 +302,8 @@ def _cmd_bpm(cfg: RunConfig) -> dict:
     }
     horizon = int(cfg.get("horizon"))  # type: ignore[arg-type]
     trials = int(cfg.get("trials"))  # type: ignore[arg-type]
+    if horizon < 0 or trials < 0:
+        raise CliError("--horizon and --trials must be nonnegative")
     if horizon > 0 and trials > 0:
         sim = bpm_mod.simulate_bpm(model, horizon, trials, cfg.seed)
         result.update(
@@ -319,10 +321,12 @@ def _cmd_walk(cfg: RunConfig) -> list[list[object]]:
     steps = int(cfg.get("steps"))  # type: ignore[arg-type]
     trials = int(cfg.get("trials"))  # type: ignore[arg-type]
     every = int(cfg.get("emit_positions"))  # type: ignore[arg-type]
+    if cfg.get("positions_csv") and not every:
+        raise CliError("--positions-csv needs --emit-positions")
     traces = walk.ensemble_walks(
         env, steps, trials, master_seed=cfg.seed, record_every=every
     )
-    if every and cfg.get("positions_csv"):
+    if cfg.get("positions_csv"):
         rows: list[list[object]] = [["trial", "step", "position"]]
         for t, trace in enumerate(traces):
             assert trace.positions is not None

@@ -210,40 +210,97 @@ def _prefix_tail_draws(
     return out
 
 
-def _bisect_rows(
-    flat_cdf: np.ndarray,
-    base: np.ndarray,
-    lengths: "int | np.ndarray",
-    u: np.ndarray,
-) -> np.ndarray:
-    """Inverse-CDF search in stacked cdf rows, one uniform per entry.
+# Inverse-CDF lookups compare integers.  rng.random() returns j / 2^53
+# for an integer j, with every numpy bit generator.  Entry c of cdf row
+# r becomes the key (r << 53) + ceil(c * 2^53), and u the query
+# (r << 53) + j.  c <= u exactly when ceil(c * 2^53) <= j, so a
+# right-sided search for the query counts the entries of row r at or
+# below u, as a search of the float row would.  Entries of 1.0 or more
+# (cumsum rounding can lift one just above 1) are dropped: no u < 1
+# reaches them, and their keys would spill into row r + 1.  The row
+# index takes the 11 bits above j, so one uint64 key array addresses
+# 2^11 rows; longer tables get one key array per 2^11 rows, each
+# keyed by r mod 2^11.
+_U_BITS = 53
+_U_SCALE = float(1 << _U_BITS)
+_ROW_BITS = 64 - _U_BITS
+_KEY_ROWS = 1 << _ROW_BITS
+_PACK_ROWS = 16  # divides _KEY_ROWS
 
-    ``base[i]`` is where row i starts inside ``flat_cdf`` and
-    ``lengths`` its length (shared scalar or per-entry).  Returns the
-    within-row index of the first cdf value exceeding ``u[i]``.
+
+def _pack_keys(
+    cdf: np.ndarray, sizes: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Search keys of stacked cdf rows, row r holding ``sizes[r]`` >= 1
+    entries of the flat ``cdf``.
+
+    Returns one key array per 2^11 rows and ``starts``, the position of
+    each row's first key within its array.  The keys overwrite ``cdf``
+    in place, 16 rows at a time, so no temporary is large: freeing
+    multi-megabyte temporaries raises malloc's mmap threshold, and the
+    fragmented heap then lifts later peaks (5 % in the chain benchmark).
     """
-    n = len(u)
-    lo = np.zeros(n, dtype=np.int64)
-    if np.isscalar(lengths):
-        hi = np.full(n, int(lengths), dtype=np.int64)
-    else:
-        hi = np.asarray(lengths, dtype=np.int64).copy()
-    top = int(hi.max()) if n else 1
-    for _ in range(max(top, 1).bit_length()):
-        done = lo >= hi
-        mid = np.where(done, lo, (lo + hi) >> 1)
-        v = flat_cdf[np.minimum(base + mid, len(flat_cdf) - 1)]
-        go = (v <= u) & ~done
-        lo = np.where(go, mid + 1, lo)
-        hi = np.where(go | done, hi, mid)
-    return lo
+    buf = cdf.view(np.uint64)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.empty(len(sizes), dtype=np.int64)
+    keys = []
+    end = first = 0
+    for r0 in range(0, len(sizes), _PACK_ROWS):
+        r1 = min(r0 + _PACK_ROWS, len(sizes))
+        if r0 % _KEY_ROWS == 0:
+            first = end
+        c = cdf[bounds[r0] : bounds[r1]]
+        live = c < 1.0
+        counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
+        k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
+        k += np.repeat((np.arange(r0, r1, dtype=np.uint64) % _KEY_ROWS) << _U_BITS, counts)
+        starts[r0:r1] = end - first + np.cumsum(counts) - counts
+        # Writes stay behind the rows not yet read: end <= bounds[r0].
+        buf[end : end + len(k)] = k
+        end += len(k)
+        if r1 % _KEY_ROWS == 0 or r1 == len(sizes):
+            keys.append(buf[first:end])
+    return tuple(keys), starts
+
+
+def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``keys.searchsorted(q, "right")``, searched in sorted query order:
+    sorted queries walk the keys in memory order."""
+    order = np.argsort(q)
+    pos = np.empty(len(q), dtype=np.int64)
+    pos[order] = keys.searchsorted(q[order], side="right")
+    return pos
+
+
+def _search(
+    keys: tuple[np.ndarray, ...], starts: np.ndarray, rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Index within row ``rows[i]`` of the first cdf entry above ``u[i]``;
+    each u must be a value rng.random() returns."""
+    q = (u * _U_SCALE).astype(np.uint64)
+    q |= (rows.astype(np.uint64) & (_KEY_ROWS - 1)) << _U_BITS
+    if len(keys) == 1:
+        return _sorted_search(keys[0], q) - starts[rows]
+    pos = np.empty(len(q), dtype=np.int64)
+    part = rows >> _ROW_BITS
+    for c, k in enumerate(keys):
+        sel = np.flatnonzero(part == c)
+        pos[sel] = _sorted_search(k, q[sel])
+    return pos - starts[rows]
+
+
+def _search_one(keys: tuple[np.ndarray, ...], starts: np.ndarray, row: int, u: float) -> int:
+    """``_search`` for one row and one uniform, in one numpy call."""
+    q = ((row & (_KEY_ROWS - 1)) << _U_BITS) + int(u * _U_SCALE)
+    return int(keys[row >> _ROW_BITS].searchsorted(np.uint64(q), side="right")) - int(starts[row])
 
 
 class _DyadicLevel(NamedTuple):
     k0: int
     width: int
     rows: np.ndarray
-    cdf: np.ndarray
+    keys: tuple[np.ndarray, ...]
+    starts: np.ndarray
 
 
 class _DyadicSampler:
@@ -261,6 +318,13 @@ class _DyadicSampler:
     (computed by FFT).  One draw walks the set bits of x from high to
     low with one inverse-CDF lookup per bit, so the cost per draw is
     logarithmic in x.  Levels extend lazily as larger x appear.
+
+    Each level stores its cdf rows as packed integer keys (see
+    ``_U_BITS``), one row per start slot.  A lookup for a batch is one
+    ``searchsorted`` per key array whatever slots the draws sit in, and
+    it lands where a search of the float row would for every u that
+    ``rng.random()`` returns.  One key array holds 2^11 slots, so a
+    period above 2048 splits each level over several.
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -305,7 +369,8 @@ class _DyadicSampler:
         rows = rows / rows.sum(axis=1, keepdims=True)
         cdf = np.cumsum(rows, axis=1)
         cdf[:, -1] = 1.0
-        return _DyadicLevel(k0 + a, b - a, rows, cdf)
+        keys, starts = _pack_keys(cdf.ravel(), np.full(self.m, b - a))
+        return _DyadicLevel(k0 + a, b - a, rows, keys, starts)
 
     def _extend(self) -> bool:
         """Build the next level; False if it would exceed the bin cap."""
@@ -348,16 +413,10 @@ class _DyadicSampler:
     ) -> None:
         """Move the draws ``sel`` through one block of 2^k failures."""
         lvl = self.levels[k]
-        u = rng.random(len(sel))
         st = state[sel]
-        for r in range(self.m):
-            g = np.flatnonzero(st == r)
-            if len(g) == 0:
-                continue
-            adv = lvl.k0 + np.searchsorted(lvl.cdf[r], u[g], side="right")
-            tgt = sel[g]
-            out[tgt] += adv
-            state[tgt] = (r + adv + (1 << k)) % self.m
+        adv = lvl.k0 + _search(lvl.keys, lvl.starts, st, rng.random(len(sel)))
+        out[sel] += adv
+        state[sel] = (st + adv + (1 << k)) % self.m
 
     def draw(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -383,7 +442,7 @@ class _DyadicSampler:
         r = 0
         for k in ks:
             lvl = self.levels[k]
-            adv = lvl.k0 + int(np.searchsorted(lvl.cdf[r], rng.random(), side="right"))
+            adv = lvl.k0 + _search_one(lvl.keys, lvl.starts, r, rng.random())
             out += adv
             r = (r + adv + (1 << k)) % self.m
         return out + self.m * int(rng.negative_binomial(x, self.fail))
@@ -464,6 +523,11 @@ def step_sampler(
 # ---------------------------------------------------------------------
 
 
+# Largest chain size the ensemble serves from a table: the rows that one
+# key array addresses.
+_TABLE_CAP = _KEY_ROWS
+
+
 class _UTable:
     """Inverse-CDF rows of U(x) for every x up to a cap.
 
@@ -472,14 +536,20 @@ class _UTable:
     failures after n - 1 trials and trial n fails, so a single sweep
     serves all rows.  Rows are trimmed to relative mass 1 - 2e-15 and
     renormalized; the table backs samplers only, never the oracle.
+
+    Row x - 1 of the packed ``keys`` holds the cdf of U(x) beyond its
+    first ``row_k0[x - 1]`` successes.  A draw is one search of the keys,
+    exact for every u = j / 2^53 that ``rng.random()`` returns (see
+    ``_U_BITS``), so it lands where a search of the float cdf row would.
+    The cap is at most ``_TABLE_CAP`` = 2^11 rows, which one key array
+    addresses.
     """
 
-    def __init__(self, x_cap: int, row_k0: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, flat_cdf: np.ndarray):
+    def __init__(self, x_cap: int, row_k0: np.ndarray, keys: tuple[np.ndarray, ...], starts: np.ndarray):
         self.x_cap = x_cap
         self.row_k0 = row_k0
-        self.offsets = offsets
-        self.lengths = lengths
-        self.flat_cdf = flat_cdf
+        self.keys = keys
+        self.starts = starts
 
     @staticmethod
     def build(env: CookieEnvironment, x_cap: int) -> "_UTable":
@@ -516,11 +586,9 @@ class _UTable:
                 break
         else:
             raise InternalConsistencyError("sampler table build hit the trial cap")
-        row_k0 = np.zeros(x_cap + 1, dtype=np.int64)
-        offsets = np.zeros(x_cap + 1, dtype=np.int64)
-        lengths = np.zeros(x_cap + 1, dtype=np.int64)
+        row_k0 = np.zeros(x_cap, dtype=np.int64)
+        sizes = np.zeros(x_cap, dtype=np.int64)
         pieces: list[np.ndarray] = []
-        pos = 0
         for x in range(1, x_cap + 1):
             row = dense[x - 1]
             total = row.sum()
@@ -529,26 +597,21 @@ class _UTable:
             cs = np.cumsum(row)
             k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
             k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
-            piece = row[k_lo:k_hi]
-            cdf = np.cumsum(piece)
+            cdf = np.cumsum(row[k_lo:k_hi])
             cdf /= cdf[-1]
             cdf[-1] = 1.0
-            row_k0[x] = k_lo
-            offsets[x] = pos
-            lengths[x] = len(cdf)
+            row_k0[x - 1] = k_lo
+            sizes[x - 1] = len(cdf)
             pieces.append(cdf)
-            pos += len(cdf)
-        return _UTable(x_cap, row_k0, offsets, lengths, np.concatenate(pieces))
+        return _UTable(x_cap, row_k0, *_pack_keys(np.concatenate(pieces), sizes))
 
     def draw(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One inverse-CDF draw per entry; xs must be within the cap."""
-        idx = _bisect_rows(self.flat_cdf, self.offsets[xs], self.lengths[xs], u)
-        return self.row_k0[xs] + idx
+        rows = xs - 1
+        return self.row_k0[rows] + _search(self.keys, self.starts, rows, u)
 
     def draw_one(self, x: int, u: float) -> int:
-        o = int(self.offsets[x])
-        row = self.flat_cdf[o : o + int(self.lengths[x])]
-        return int(self.row_k0[x]) + int(np.searchsorted(row, u, side="right"))
+        return int(self.row_k0[x - 1]) + _search_one(self.keys, self.starts, x - 1, u)
 
 
 @lru_cache(maxsize=8)
@@ -663,7 +726,6 @@ def simulate_Z_ensemble(
     horizon: int,
     trials: int,
     master_seed: Optional[int] = None,
-    x_cap: int = 2048,
 ) -> ZEnsembleResult:
     """Lockstep ensemble of crossing-chain runs.
 
@@ -683,7 +745,7 @@ def simulate_Z_ensemble(
     const = _constant_value(eff)
     table: Optional[_UTable] = None
     if const is None:
-        cap = x_cap if esc is None else min(x_cap, esc)
+        cap = _TABLE_CAP if esc is None else min(_TABLE_CAP, esc)
         table = _cached_table(eff, max(64, cap))
 
     z = np.ones(trials, dtype=np.int64)

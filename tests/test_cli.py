@@ -352,6 +352,30 @@ def test_bad_walk_sizes_are_clean_errors(capsys, flags):
     assert "erwlab: error" in err
 
 
+def test_positions_csv_without_emit_positions_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "pos.csv"
+    argv = ["walk", "--env", "periodic:0.5,0.5", "--steps", "10", "--trials", "2",
+            "--positions-csv", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--emit-positions" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--horizon", "-5", "--trials", "10"], ["--horizon", "10", "--trials", "-3"]],
+    ids=["negative-horizon", "negative-trials"],
+)
+def test_bad_bpm_sizes_are_clean_errors(capsys, flags):
+    argv = ["bpm", "--offspring", "geometric:1", "--migration", "const:1"] + flags
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "erwlab: error" in err
+
+
 def test_bad_environment_literal_is_a_clean_error(capsys):
     code, out, err = _run(capsys, ["classify", "--env", "ring:0.5"])
     assert code == 2

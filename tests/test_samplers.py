@@ -14,7 +14,10 @@ import pytest
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.kks import (
     _dyadic,
+    _pack_keys,
     _prefix_tail_draws,
+    _search,
+    _search_one,
     asymptotic_mu,
     empirical_ladder,
     exact_U_distribution,
@@ -99,6 +102,62 @@ def test_long_period_draws_repeat_the_top_level():
     assert abs(_chi_square_z(env, x, draws)) < 4.0
     singles = np.array([sample_U(env, x, rng) for _ in range(20_000)])
     assert abs(_chi_square_z(env, x, singles)) < 4.0
+
+
+def test_period_above_one_key_array_matches_dp():
+    # 2049 start slots need two key arrays.  At x = 40 the slot walks
+    # past 2048 (about 66 successes per failure), so draws search both.
+    env = make_periodic((0.99, 0.98) * 1024 + (0.99,))
+    x = 40
+    rng = substream(S, TAG_GENERAL, 30)
+    sampler = _dyadic(env)
+    assert len(sampler.levels[0].keys) == 2
+    draws = sample_U_many(env, x, 200_000, rng)
+    assert abs(_chi_square_z(env, x, draws)) < 4.0
+    # sample_U checks the whole pile on every call; draw_one skips that.
+    singles = np.array([sampler.draw_one(x, rng) for _ in range(20_000)])
+    assert abs(_chi_square_z(env, x, singles)) < 4.0
+
+
+# ---------------------------------------------------------------------
+# packed inverse-CDF keys
+# ---------------------------------------------------------------------
+
+_CDF_ROWS = [
+    np.array([0.25, 0.25, 0.5, 0.5, 1.0]),  # zero-mass entries
+    np.array([0.1, 1.0 / 3.0, 1.0, 1.0, 1.0]),  # interior entries equal to 1
+    np.array([1.0]),
+    np.array([0.0, 0.0, 0.7, 1.0]),
+    np.array([1e-300, 2.0**-53, 3 * 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+    np.array([2.0**-60, 0.3, 0.3, np.nextafter(0.75, 0.0), 0.75, 1.0]),
+]
+
+
+def _uniforms_around(row):
+    """Values rng.random() can return (j / 2^53) at and around each cdf
+    entry: 0, 1 - 2^-53, every entry and the float below it, rounded
+    down to the grid, and the grid point above every entry."""
+    grid = 2.0**53
+    u = np.concatenate(([0.0, 1.0 - 1.0 / grid], row, np.nextafter(row, 0.0)))
+    u = np.concatenate((np.floor(u * grid), np.ceil(row * grid))) / grid
+    return np.unique(u[u < 1.0])
+
+
+@pytest.mark.parametrize("n_rows", [2048, 2053], ids=["one-key-array", "two-key-arrays"])
+def test_packed_search_matches_row_searchsorted(n_rows):
+    rows = [_CDF_ROWS[r % len(_CDF_ROWS)] for r in range(n_rows)]
+    keys, starts = _pack_keys(np.concatenate(rows), np.array([len(r) for r in rows]))
+    assert len(keys) == -(-n_rows // 2048)
+    checked = list(range(8)) + list(range(2040, n_rows))
+    qr, qu, want = [], [], []
+    for r in checked:
+        u = _uniforms_around(rows[r])
+        qr += [r] * len(u)
+        qu += list(u)
+        want += list(np.searchsorted(rows[r], u, side="right"))
+    got = _search(keys, starts, np.array(qr), np.array(qu))
+    assert got.tolist() == want
+    assert [_search_one(keys, starts, r, u) for r, u in zip(qr, qu)] == want
 
 
 def test_reference_sampler_frequencies_match_dp():
