@@ -14,6 +14,7 @@ from .bpm import (
     BpmOutcome,
     MigrationSpec,
     OffspringSpec,
+    ZEnsembleResult,
     classify_bpm,
     parse_migration,
     parse_offspring,
@@ -40,7 +41,6 @@ from .kks import (
     LadderStats,
     OracleHorizonError,
     UDistribution,
-    ZEnsembleResult,
     asymptotic_mu,
     empirical_ladder,
     exact_U_distribution,

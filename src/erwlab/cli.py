@@ -359,16 +359,17 @@ def _cmd_walk(cfg: RunConfig) -> list[list[object]]:
 
 def _cmd_zsim(cfg: RunConfig) -> dict:
     env = _env_of(cfg)
+    direction = str(cfg.get("direction"))
     sim = kks.simulate_Z_ensemble(
         env,
-        str(cfg.get("direction")),
+        direction,
         int(cfg.get("horizon")),  # type: ignore[arg-type]
         int(cfg.get("trials")),  # type: ignore[arg-type]
         master_seed=cfg.seed,
     )
     return {
         "environment": format_env(env),
-        "direction": sim.direction,
+        "direction": direction,
         "horizon": sim.horizon,
         "trials": sim.trials,
         "survivors": sim.survivors,

@@ -8,7 +8,8 @@ failure when cookies are consumed in pile order.  This module provides
 * an exact dynamic-programming oracle for the law of U(x),
 * fast exact samplers (dyadic block composition for periodic piles,
   prefix plus negative binomial for piles with a constant tail),
-* single-run and vectorized ensemble simulation of the chain,
+* single-run simulation of the chain, and ensembles of it on
+  ``bpm.absorb``, the absorbing-chain engine shared with the population,
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
 
 Conventions: U(0) = 1, and the simulated chain treats 0 as absorbing so
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bpm import escape_threshold
+from .bpm import ZEnsembleResult, absorb, escape_threshold
 from .environments import CookieEnvironment, EnvKind
 from .periodic import InternalConsistencyError, _cyclic_products, mu_periodic
 from .seeding import TAG_ZSIM, default_seed, substream
@@ -448,10 +449,6 @@ class _DyadicSampler:
         return out + self.m * int(rng.negative_binomial(x, self.fail))
 
 
-# Ensemble batches at or below this size fall back to scalar draws.
-_FINISH_BATCH = 16
-
-
 @lru_cache(maxsize=4)
 def _dyadic(env: CookieEnvironment) -> _DyadicSampler:
     return _DyadicSampler(env)
@@ -474,6 +471,26 @@ def sample_U_many(
     return _prefix_tail_draws(env, x, size, rng)
 
 
+def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
+    """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw and
+    ``many(xs, rng)`` for one draw per entry of an array.  The route is
+    picked here, once, because the pile checks cost O(M)."""
+    const = _constant_value(env)
+    if const is not None:
+        p = 1.0 - const
+        return (
+            lambda x, rng: int(rng.negative_binomial(x, p)),
+            lambda xs, rng: rng.negative_binomial(xs, p, len(xs)).astype(np.int64),
+        )
+    if env.kind is EnvKind.PERIODIC:
+        dy = _dyadic(env)
+        return dy.draw_one, dy.draw
+    return (
+        lambda x, rng: int(_prefix_tail_draws(env, x, 1, rng)[0]),
+        lambda xs, rng: _prefix_tail_draws(env, xs, len(xs), rng),
+    )
+
+
 def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
     """One exact draw of U(x)."""
     _require_nondegenerate(env)
@@ -481,12 +498,7 @@ def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1
-    const = _constant_value(env)
-    if const is not None:
-        return int(rng.negative_binomial(x, 1.0 - const))
-    if env.kind is EnvKind.PERIODIC:
-        return _dyadic(env).draw_one(x, rng)
-    return int(_prefix_tail_draws(env, x, 1, rng)[0])
+    return _samplers(env)[0](x, rng)
 
 
 def sample_U_reference(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
@@ -635,41 +647,6 @@ class ZRunSummary:
     escaped: bool = False
 
 
-@dataclass(frozen=True)
-class ZEnsembleResult:
-    """Vectorized ensemble of crossing-chain runs.
-
-    ``death_steps[i]`` is the absorption step of trial i, or -1 when the
-    trial survived the horizon (including early escapes upward).
-    """
-
-    direction: str
-    horizon: int
-    trials: int
-    death_steps: np.ndarray
-    escaped: int
-
-    @property
-    def survivors(self) -> int:
-        return int(np.sum(self.death_steps < 0))
-
-    @property
-    def survival_frequency(self) -> float:
-        return self.survivors / self.trials
-
-    @property
-    def survival_se(self) -> float:
-        f = self.survival_frequency
-        return math.sqrt(max(f * (1.0 - f), 0.0) / self.trials)
-
-    def survival_at(self, horizon: int) -> float:
-        """Survival frequency at any horizon up to the simulated one."""
-        if horizon > self.horizon:
-            raise ValueError("horizon exceeds the simulated range")
-        d = self.death_steps
-        return float(np.sum((d < 0) | (d > horizon))) / self.trials
-
-
 def _directed(env: CookieEnvironment, direction: str) -> CookieEnvironment:
     if direction == "right":
         return env
@@ -710,9 +687,10 @@ def simulate_Z(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     esc = _escape_threshold(eff, horizon)
+    draw = _samplers(eff)[0]
     z = 1
     for step in range(1, horizon + 1):
-        z = sample_U(eff, z, rng)
+        z = draw(z, rng)
         if z == 0:
             return ZRunSummary(direction, horizon, step, False)
         if esc is not None and z >= esc:
@@ -727,11 +705,11 @@ def simulate_Z_ensemble(
     trials: int,
     master_seed: Optional[int] = None,
 ) -> ZEnsembleResult:
-    """Lockstep ensemble of crossing-chain runs.
+    """Ensemble of crossing-chain runs from Z_0 = 1 (``bpm.absorb``).
 
-    All trials advance one chain step per iteration; draws for sizes
-    within the table cap come from precomputed inverse-CDF rows, larger
-    sizes fall back to exact per-run sampling.  Results are a pure
+    Lockstep draws for sizes within the table cap come from precomputed
+    inverse-CDF rows, larger sizes from the exact vector samplers; the
+    last few runs finish through scalar draws.  Results are a pure
     function of (environment, direction, horizon, trials, master_seed).
     """
     eff = _directed(env, direction)
@@ -742,71 +720,26 @@ def simulate_Z_ensemble(
         master_seed = default_seed()
     rng = substream(master_seed, TAG_ZSIM)
     esc = _escape_threshold(eff, horizon)
-    const = _constant_value(eff)
-    table: Optional[_UTable] = None
-    if const is None:
-        cap = _TABLE_CAP if esc is None else min(_TABLE_CAP, esc)
-        table = _cached_table(eff, max(64, cap))
+    one, many = _samplers(eff)
+    if _constant_value(eff) is not None:
+        return absorb(1, horizon, trials, esc, many, one, rng)
+    table = _cached_table(eff, max(64, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc)))
 
-    z = np.ones(trials, dtype=np.int64)
-    death = np.full(trials, -1, dtype=np.int64)
-    idx = np.arange(trials)
-    escaped = 0
-    step = 0
-    while step < horizon and len(idx) > _FINISH_BATCH:
-        step += 1
-        x = z[idx]
-        if const is not None:
-            k = rng.negative_binomial(x, 1.0 - const, len(idx)).astype(np.int64)
-        else:
-            assert table is not None
-            u = rng.random(len(idx))
-            small = x <= table.x_cap
-            k = np.empty(len(idx), dtype=np.int64)
-            if np.any(small):
-                k[small] = table.draw(x[small], u[small])
-            if not np.all(small):
-                big = ~small
-                if eff.kind is EnvKind.PERIODIC:
-                    k[big] = _dyadic(eff).draw(x[big], rng)
-                else:
-                    k[big] = _prefix_tail_draws(eff, x[big], int(big.sum()), rng)
-        z[idx] = k
-        dead = k == 0
-        if np.any(dead):
-            death[idx[dead]] = step
-        if esc is not None:
-            esc_hit = (k >= esc) & ~dead
-            escaped += int(np.sum(esc_hit))
-            keep = ~dead & ~esc_hit
-        else:
-            keep = ~dead
-        idx = idx[keep]
-    # The last stragglers run one at a time: scalar draws beat the
-    # vectorized machinery once almost every trial has resolved.
-    if len(idx) > 0 and step < horizon:
-        dy = _dyadic(eff) if eff.kind is EnvKind.PERIODIC and const is None else None
-        for j in idx:
-            zz = int(z[j])
-            s = step
-            while s < horizon:
-                s += 1
-                if const is not None:
-                    zz = int(rng.negative_binomial(zz, 1.0 - const))
-                elif zz <= table.x_cap:  # type: ignore[union-attr]
-                    zz = table.draw_one(zz, rng.random())  # type: ignore[union-attr]
-                elif dy is not None:
-                    zz = dy.draw_one(zz, rng)
-                else:
-                    zz = int(_prefix_tail_draws(eff, zz, 1, rng)[0])
-                if zz == 0:
-                    death[j] = s
-                    break
-                if esc is not None and zz >= esc:
-                    escaped += 1
-                    break
-            z[j] = zz
-    return ZEnsembleResult(direction, horizon, trials, death, escaped)
+    def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(len(x))
+        small = x <= table.x_cap
+        k = np.empty(len(x), dtype=np.int64)
+        if np.any(small):
+            k[small] = table.draw(x[small], u[small])
+        if not np.all(small):
+            big = ~small
+            k[big] = many(x[big], rng)
+        return k
+
+    def step_one(z: int, rng: np.random.Generator) -> int:
+        return table.draw_one(z, rng.random()) if z <= table.x_cap else one(z, rng)
+
+    return absorb(1, horizon, trials, esc, step, step_one, rng)
 
 
 # ---------------------------------------------------------------------

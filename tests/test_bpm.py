@@ -15,6 +15,7 @@ from erwlab.bpm import (
     BpmOutcome,
     MigrationSpec,
     OffspringSpec,
+    _bpm_step,
     bpm_step_samples,
     classify_bpm,
     parse_migration,
@@ -86,8 +87,36 @@ def test_deterministic_offspring_needs_no_theta_off_criticality():
 
 def test_zero_offspring_dies_in_one_generation():
     m = _model(OffspringSpec.tabular((1.0,)), MigrationSpec.deterministic(0))
-    res = simulate_bpm(m, horizon=10, trials=500, master_seed=S)
-    assert np.all(res.death_steps == 1)
+    # 5 trials are at most the lockstep batch floor, so every run takes
+    # the one-run-at-a-time finish.
+    for trials in (500, 5):
+        res = simulate_bpm(m, horizon=10, trials=trials, master_seed=S)
+        assert len(res.death_steps) == trials
+        assert np.all(res.death_steps == 1)
+
+
+@pytest.mark.parametrize(
+    "offspring",
+    [OffspringSpec.geometric(1.5), OffspringSpec.poisson(0.8), OffspringSpec.tabular((0.3, 0.2, 0.5))],
+    ids=["geometric", "poisson", "tabular"],
+)
+@pytest.mark.parametrize(
+    "migration",
+    [MigrationSpec.deterministic(2), MigrationSpec.tabular((0.25, 0.5, 0.25), first=-1)],
+    ids=["const", "table"],
+)
+def test_step_on_an_int_matches_a_one_row_array(offspring, migration):
+    # The lockstep and the scalar finish of simulate_bpm share one step;
+    # a population and a one-row array of it take the same draws.
+    m = _model(offspring, migration)
+    a = substream(S, TAG_GENERAL, 14)
+    b = substream(S, TAG_GENERAL, 14)
+    for z in (1, 2, 7, 300) * 25:
+        one = _bpm_step(m, z, a)
+        row = _bpm_step(m, np.array([z], dtype=np.int64), b)
+        assert row.shape == (1,)
+        assert int(one) == int(row[0])
+    assert a.random() == b.random()
 
 
 def test_supercritical_survival_matches_extinction_equation():

@@ -200,8 +200,11 @@ def test_zsim_payload_and_determinism(capsys):
     assert a == b
     r = a["result"]
     assert r["trials"] == 500
+    assert r["direction"] == "right"
     assert 0.4 < r["survival_frequency"] < 0.7
     assert r["survivors"] == round(r["survival_frequency"] * 500)
+    left = _run_json(capsys, argv + ["--direction", "left"])["result"]
+    assert left["direction"] == "left"
 
 
 def test_bpm_payload_includes_simulation_when_asked(capsys):

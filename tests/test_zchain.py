@@ -11,8 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from erwlab.environments import make_periodic
-from erwlab.kks import ZEnsembleResult, simulate_Z, simulate_Z_ensemble
+from erwlab.bpm import ZEnsembleResult
+from erwlab.environments import make_periodic, parse_env
+from erwlab.kks import (
+    ZRunSummary,
+    _escape_threshold,
+    sample_U,
+    simulate_Z,
+    simulate_Z_ensemble,
+)
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
 
 S = DEFAULT_SEED
@@ -79,7 +86,9 @@ def test_left_direction_mirrors_the_pile():
     # mirrored pile is constant 0.7, so leftward runs are supercritical
     res = simulate_Z_ensemble(env, "left", 200, 5_000, master_seed=S)
     assert res.survival_frequency == pytest.approx(4.0 / 7.0, abs=0.03)
-    assert res.direction == "left"
+    mirrored = simulate_Z_ensemble(env.mirror(), "right", 200, 5_000, master_seed=S)
+    assert np.array_equal(res.death_steps, mirrored.death_steps)
+    assert res.escaped == mirrored.escaped
 
 
 def test_death_steps_fields_are_consistent():
@@ -102,6 +111,40 @@ def test_scalar_run_agrees_with_ensemble_statistics():
     assert any(o.escaped for o in outcomes)
     dead = [o for o in outcomes if not o.survived]
     assert all(o.hit_zero_step is not None and o.hit_zero_step >= 1 for o in dead)
+
+
+def _sample_U_run(env, horizon, rng):
+    """A rightward crossing-chain run as a loop of sample_U calls."""
+    esc = _escape_threshold(env, horizon)
+    z = 1
+    for step in range(1, horizon + 1):
+        z = sample_U(env, z, rng)
+        if z == 0:
+            return ZRunSummary("right", horizon, step, False)
+        if esc is not None and z >= esc:
+            return ZRunSummary("right", horizon, None, True, escaped=True)
+    return ZRunSummary("right", horizon, None, True)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_periodic((0.9, 0.9, 0.1, 0.1)),
+        make_periodic((0.7, 0.7)),
+        parse_env("bounded:0.9,0.9,0.8"),
+        parse_env("tail:0.9,0.95,0.2@0.6"),
+        make_periodic((0.99, 0.98) * 1024 + (0.99,)),
+    ],
+    ids=["periodic", "constant", "bounded", "tail", "period-2049"],
+)
+def test_scalar_run_is_a_loop_of_sample_U(env):
+    # simulate_Z picks its draw route once per run; the draws must be
+    # those of sample_U, call for call, on the same substream.
+    a = substream(S, TAG_GENERAL, 32)
+    b = substream(S, TAG_GENERAL, 32)
+    runs = [simulate_Z(env, "right", 300, a) for _ in range(40)]
+    assert runs == [_sample_U_run(env, 300, b) for _ in range(40)]
+    assert a.random() == b.random()
 
 
 def test_rejects_bad_direction_and_horizon():
