@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,6 +95,13 @@ class MigrationSpec:
         var = float(((support - mean) ** 2) @ probs)
         return MigrationSpec(mean, var, tuple(int(s) for s in support), tuple(float(p) for p in probs))
 
+    @cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf, support) arrays for inverse-CDF draws, built once per spec."""
+        cdf = np.cumsum(self.pmf)
+        cdf[-1] = 1.0
+        return cdf, np.asarray(self.support, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class BpmModel:
@@ -156,10 +164,8 @@ def _migration_draws(
     """``size`` migration draws, or one when ``size`` is None."""
     if len(spec.support) == 1:
         return spec.support[0]
-    cdf = np.cumsum(spec.pmf)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.asarray(spec.support, dtype=np.int64)[idx]
+    cdf, support = spec._inverse_cdf
+    return support[np.searchsorted(cdf, rng.random(size), side="right")]
 
 
 def _bpm_step(
@@ -317,15 +323,6 @@ def simulate_bpm(
         lambda z, rng: int(_bpm_step(model, z, rng)),
         substream(master_seed, TAG_BPM),
     )
-
-
-def bpm_step_samples(
-    model: BpmModel, x: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draws of one population step from size x (for ladder reuse)."""
-    if x < 1:
-        raise ValueError("step samples need x >= 1")
-    return _bpm_step(model, np.full(size, x, dtype=np.int64), rng)
 
 
 # ---------------------------------------------------------------------

@@ -499,7 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "result": result,
             }
             _emit_json(payload, cfg.out)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, kks.OracleHorizonError) as exc:
         print(f"erwlab: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bpm import ZEnsembleResult, absorb, escape_threshold
 from .environments import CookieEnvironment, EnvKind
-from .periodic import InternalConsistencyError, _cyclic_products, mu_periodic
+from .periodic import InternalConsistencyError, mu_periodic, slot_runs
 from .seeding import TAG_ZSIM, default_seed, substream
 
 # Mass below this per-row threshold is trimmed from sampler tables; the
@@ -349,16 +349,9 @@ class _DyadicSampler:
     _MAX_BINS = 1 << 22
 
     def __init__(self, env: CookieEnvironment):
-        m = len(env.params)
-        self.m = m
-        q = 1.0 - np.asarray(env.params, dtype=float)
-        prods = _cyclic_products(env.params)
-        r = np.arange(m).reshape(m, 1)
-        d = np.arange(m)
-        # Advance d, then a failure; each row sums to 1 - P, which the
-        # sum gives without the cancellation of 1 - P itself.
-        runs = prods[r, d] * q[(r + d) % m]
-        self.fail = min(float(runs[0].sum()), 1.0)
+        self.m = len(env.params)
+        # Level 0: advance d within the period, then a failure.
+        runs, self.fail = slot_runs(env.params)
         self.levels: list[_DyadicLevel] = [self._finish(0, runs)]
 
     def _finish(self, k0: int, rows: np.ndarray) -> _DyadicLevel:
@@ -499,23 +492,6 @@ def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
     if x == 0:
         return 1
     return _samplers(env)[0](x, rng)
-
-
-def sample_U_reference(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
-    """Trial-by-trial Bernoulli reference sampler (slow, for tests)."""
-    _require_nondegenerate(env)
-    if x == 0:
-        return 1
-    fails = 0
-    succ = 0
-    i = 0
-    while fails < x:
-        i += 1
-        if rng.random() < env.cookie_at(i):
-            succ += 1
-        else:
-            fails += 1
-    return succ
 
 
 def step_sampler(

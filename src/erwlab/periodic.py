@@ -2,19 +2,25 @@
 
 The central object is the failure chain: the cookie slot (mod M) that is
 active right after each failed trial when Bernoulli cookies are consumed
-in order.  Its transition matrix, stationary law and per-state expected
-success-run lengths all have closed forms; together they give the drift
-mu of the embedded crossing chain, and in the critical case (mean cookie
-1/2) the limiting centered drift rho, the diffusion coefficient nu and
-the ratio theta = 2*rho/nu that decides recurrence versus transience.
+in order.  Its transition matrix is the slot-run law of :func:`slot_runs`,
+which the dyadic sampler shares; its stationary law (checked by one
+linear solve of pi (P - I) = 0) and per-state expected success-run
+lengths have closed forms.  Together they give the drift mu of the
+embedded crossing chain, and in the critical case (mean cookie 1/2) the
+limiting centered drift rho, the diffusion coefficient nu and the ratio
+theta = 2*rho/nu that decides recurrence versus transience.  These come
+from one exact pass over the pile's entries as fractions, so theta and
+the drift of a bounded pile are compared with 1 without round-off.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,39 +77,29 @@ def _require_elliptic(env: CookieEnvironment) -> None:
         raise ValueError("operation requires an elliptic environment")
 
 
-def _cyclic_products(params: tuple[float, ...]) -> np.ndarray:
-    """prods[j, d] = product of d consecutive cookies starting at slot j.
+def slot_runs(params: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """Law of the success run from each slot to the next failure, mod M.
 
-    d ranges over 0..M (inclusive); prods[j, 0] = 1 and prods[j, M] is
-    the full-period product, identical for every j up to rounding.
+    ``runs[j, d]`` (0-based slots, d < M) is the probability that the d
+    cookies from slot j on succeed and cookie j + d (mod M) fails.  Every
+    row sums to 1 - P, P the full-period product; the returned ``fail``
+    is that sum taken from row 0, without the cancellation of 1 - P
+    itself.  Whole-period wraps are left to the caller.
     """
     m = len(params)
     p = np.asarray(params, dtype=float)
-    prods = np.empty((m, m + 1))
+    slots = np.arange(m)
+    # ahead[j, d] = p_{j+d}; prods[j, d] is the product of d of them.
+    ahead = p[(slots[:, None] + slots[:-1]) % m]
+    prods = np.ones((m, m))
     if m > _LOG_SPACE_PERIOD:
-        logs = np.log(p)
-        acc = np.zeros(m)
-        prods[:, 0] = 1.0
-        for d in range(1, m + 1):
-            acc = acc + logs[(np.arange(m) + d - 1) % m]
-            prods[:, d] = np.exp(acc)
-        return prods
-    prods[:, 0] = 1.0
-    for d in range(1, m + 1):
-        prods[:, d] = prods[:, d - 1] * p[(np.arange(m) + d - 1) % m]
-    return prods
-
-
-def prefix_drifts(env: CookieEnvironment) -> tuple[float, ...]:
-    """Partial sums of (2*p_i - 1) over the period prefix, i = 1..M."""
-    _require_periodic(env)
-    out = []
-    acc = 0.0
-    for p in env.params:
-        one_minus = 1.0 - p
-        acc += p - one_minus
-        out.append(acc)
-    return tuple(out)
+        np.log(ahead, out=ahead)
+        np.cumsum(ahead, axis=1, out=ahead)
+        np.exp(ahead, out=prods[:, 1:])
+    else:
+        np.cumprod(ahead, axis=1, out=prods[:, 1:])
+    runs = prods * (1.0 - p)[(slots[:, None] + slots) % m]
+    return runs, min(float(runs[0].sum()), 1.0)
 
 
 def mu_periodic(env: CookieEnvironment) -> float:
@@ -123,46 +119,45 @@ def mu_periodic(env: CookieEnvironment) -> float:
 def failure_chain(env: CookieEnvironment) -> FailureChain:
     """Build the failure chain with its stationary law and run lengths.
 
-    The stationary law has the closed form pi_j proportional to
-    (1 - p_{j-1}) with indices mod M.  It is cross-checked against the
-    dominant left eigenvector of the transition matrix obtained by power
-    iteration; disagreement raises :class:`InternalConsistencyError`.
+    Row j is the slot-run law from slot j, moved one slot on and
+    normalized over whole-period wraps.  The stationary law has the
+    closed form pi_j proportional to (1 - p_{j-1}) with indices mod M.
+    It is checked against one linear solve of pi (P - I) = 0 with
+    sum(pi) = 1 (unique, as P > 0 for elliptic piles) and by its
+    invariance residual; a failure raises :class:`InternalConsistencyError`.
     """
     _require_periodic(env)
     _require_elliptic(env)
     m = env.period
-    p = np.asarray(env.params, dtype=float)
-    q = 1.0 - p
-    prods = _cyclic_products(env.params)
-    full = float(np.prod(p)) if m <= _LOG_SPACE_PERIOD else float(np.exp(np.sum(np.log(p))))
-    denom = 1.0 - full
-
-    # matrix[j, k]: run of length d = (k - j - 1) mod M, any number of
-    # extra full wraps, then a failure on slot k (0-based slots).
+    runs, fail = slot_runs(env.params)
+    slots = np.arange(m)
     matrix = np.empty((m, m))
-    for j in range(m):
-        for k in range(m):
-            # forward distance from state j to state k, in 1..M
-            d = (k - j - 1) % m + 1
-            matrix[j, k] = prods[j, d - 1] * q[(j + d - 1) % m] / denom
-    # The 1/denom factor sums runs of length d-1, d-1+M, d-1+2M, ...;
-    # rows sum to 1 by the telescoping identity
-    # sum_d prods[j, d-1] * q_{j+d-1} = 1 - full.
+    matrix[slots[:, None], (slots[:, None] + slots + 1) % m] = runs
+    matrix /= runs.sum(axis=1, keepdims=True)
 
-    stationary = q[np.roll(np.arange(m), 1)]  # pi_j ~ 1 - p_{j-1}
+    q = 1.0 - np.asarray(env.params, dtype=float)
+    stationary = np.roll(q, 1)  # pi_j ~ 1 - p_{j-1}
     stationary = stationary / stationary.sum()
 
-    expected_runs = prods[:, 1 : m + 1].sum(axis=1) / denom
+    # A run is its length within the period plus M per whole wrap; the
+    # wraps are geometric with mean P / (1 - P).
+    expected_runs = (runs @ slots + m * (1.0 - fail)) / fail
 
     _verify_stationary(matrix, stationary)
     return FailureChain(matrix, stationary, expected_runs)
 
 
 def _verify_stationary(matrix: np.ndarray, closed_form: np.ndarray, tol: float = 1e-10) -> None:
-    pi = power_iteration_stationary(matrix)
+    m = matrix.shape[0]
+    # pi (P - I) = 0 has rank M - 1; the normalization replaces one equation.
+    system = matrix.T - np.eye(m)
+    system[-1] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
     if np.max(np.abs(pi - closed_form)) > tol:
         raise InternalConsistencyError(
-            "closed-form stationary law disagrees with power iteration"
+            "closed-form stationary law disagrees with the linear solve"
         )
     resid = np.max(np.abs(closed_form @ matrix - closed_form))
     if resid > tol:
@@ -171,17 +166,48 @@ def _verify_stationary(matrix: np.ndarray, closed_form: np.ndarray, tol: float =
         )
 
 
-def power_iteration_stationary(matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> np.ndarray:
-    """Dominant left eigenvector of a stochastic matrix, normalized."""
-    m = matrix.shape[0]
-    pi = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
-        nxt = pi @ matrix
-        nxt = nxt / nxt.sum()
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt
-        pi = nxt
-    raise InternalConsistencyError("power iteration did not converge")
+def _exact_values(env: CookieEnvironment) -> tuple[Fraction, ...]:
+    """The pile's entries as fractions; a float converts exactly."""
+    if env.exact_params is not None:
+        return env.exact_params
+    return tuple(Fraction(p) for p in env.params)
+
+
+@dataclass(frozen=True)
+class _ExactPass:
+    """Prefix drifts, rho and nu of a periodic pile, as fractions;
+    ``rho_left`` = (2/M) sum p_i (-delta_i) is the mirrored pile's rho."""
+
+    delta: tuple[Fraction, ...]
+    rho: Fraction
+    rho_left: Fraction
+    nu: Fraction
+
+    @property
+    def theta_right(self) -> Fraction:
+        return 2 * self.rho / self.nu
+
+    @property
+    def theta_left(self) -> Fraction:
+        return 2 * self.rho_left / self.nu
+
+
+def _exact_pass(env: CookieEnvironment) -> _ExactPass:
+    _require_periodic(env)
+    ps = _exact_values(env)
+    m = len(ps)
+    delta = tuple(itertools.accumulate(2 * p - 1 for p in ps))
+    return _ExactPass(
+        delta=delta,
+        rho=2 * sum(((1 - p) * d for p, d in zip(ps, delta)), Fraction(0)) / m,
+        rho_left=-2 * sum((p * d for p, d in zip(ps, delta)), Fraction(0)) / m,
+        nu=8 * sum((p * (1 - p) for p in ps), Fraction(0)) / m,
+    )
+
+
+def prefix_drifts(env: CookieEnvironment) -> tuple[float, ...]:
+    """Partial sums of (2*p_i - 1) over the period prefix, i = 1..M."""
+    return tuple(float(d) for d in _exact_pass(env).delta)
 
 
 def rho_periodic(env: CookieEnvironment) -> float:
@@ -192,17 +218,14 @@ def rho_periodic(env: CookieEnvironment) -> float:
     cookie is 1/2.
     """
     _require_critical(env)
-    deltas = prefix_drifts(env)
-    m = env.period
-    return 2.0 / m * math.fsum((1.0 - p) * d for p, d in zip(env.params, deltas))
+    return float(_exact_pass(env).rho)
 
 
 def nu_periodic(env: CookieEnvironment) -> float:
     """Limiting diffusion coefficient 8*A, A = mean of p_i(1-p_i)."""
     _require_periodic(env)
     _require_elliptic(env)
-    m = env.period
-    return 8.0 / m * math.fsum(p * (1.0 - p) for p in env.params)
+    return float(_exact_pass(env).nu)
 
 
 def theta_periodic(env: CookieEnvironment) -> float:
@@ -210,7 +233,8 @@ def theta_periodic(env: CookieEnvironment) -> float:
 
     Identical to sum_i delta_i (1 - p_i) / (2 * sum_j p_j (1 - p_j)).
     """
-    return 2.0 * rho_periodic(env) / nu_periodic(env)
+    _require_critical(env)
+    return float(_exact_pass(env).theta_right)
 
 
 def _require_critical(env: CookieEnvironment) -> None:
@@ -218,6 +242,16 @@ def _require_critical(env: CookieEnvironment) -> None:
     _require_elliptic(env)
     if not env.is_critical(CRITICAL_TOL):
         raise ValueError("operation requires mean cookie exactly 1/2")
+
+
+def _compare_with_one(right: Union[Fraction, float], left: Union[Fraction, float]) -> Classification:
+    """Right transient when ``right`` exceeds 1, left transient when
+    ``left`` does, otherwise recurrent (1 itself included)."""
+    if right > 1:
+        return Classification.TRANSIENT_RIGHT
+    if left > 1:
+        return Classification.TRANSIENT_LEFT
+    return Classification.RECURRENT
 
 
 @dataclass(frozen=True)
@@ -243,40 +277,30 @@ def classify_periodic(env: CookieEnvironment) -> Classification:
     mirrored environment left transience, otherwise the walk is
     recurrent (theta equal to 1 included).
     """
-    _require_periodic(env)
-    _require_elliptic(env)
-    if not env.is_critical(CRITICAL_TOL):
-        pbar = env.mean_cookie()
-        return (
-            Classification.TRANSIENT_RIGHT
-            if pbar > 0.5
-            else Classification.TRANSIENT_LEFT
-        )
-    if theta_periodic(env) > 1.0:
-        return Classification.TRANSIENT_RIGHT
-    if theta_periodic(env.mirror()) > 1.0:
-        return Classification.TRANSIENT_LEFT
-    return Classification.RECURRENT
+    return diagnostics(env).classification
 
 
 def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     """Classification together with every intermediate quantity."""
     _require_periodic(env)
     _require_elliptic(env)
+    exact = _exact_pass(env)
     critical = env.is_critical(CRITICAL_TOL)
-    rho = rho_periodic(env) if critical else None
-    nu = nu_periodic(env)
-    theta_r = theta_periodic(env) if critical else None
-    theta_l = theta_periodic(env.mirror()) if critical else None
+    if critical:
+        label = _compare_with_one(exact.theta_right, exact.theta_left)
+    elif env.mean_cookie() > 0.5:
+        label = Classification.TRANSIENT_RIGHT
+    else:
+        label = Classification.TRANSIENT_LEFT
     return PeriodicDiagnostics(
         p_bar=env.mean_cookie(),
-        delta=prefix_drifts(env),
+        delta=tuple(float(d) for d in exact.delta),
         mu=mu_periodic(env),
-        rho=rho,
-        nu=nu,
-        theta_right=theta_r,
-        theta_left=theta_l,
-        classification=classify_periodic(env),
+        rho=float(exact.rho) if critical else None,
+        nu=float(exact.nu),
+        theta_right=float(exact.theta_right) if critical else None,
+        theta_left=float(exact.theta_left) if critical else None,
+        classification=label,
     )
 
 
@@ -288,29 +312,27 @@ def half_half_threshold(p: float) -> float:
     return (8.0 * p - 8.0 * p * p + 2.0) / (2.0 * p - 1.0)
 
 
+def _fair_tail_delta(env: CookieEnvironment) -> Fraction:
+    if env.kind is EnvKind.PERIODIC or env.tail_value != 0.5:
+        raise ValueError("operation requires an environment with fair tail")
+    return sum((2 * p - 1 for p in _exact_values(env)), Fraction(0))
+
+
 def classify_bounded(env: CookieEnvironment) -> Classification:
     """Classification of a bounded pile by its total drift.
 
     delta = sum over the prefix of (2*p_i - 1); above 1 right transient,
     below -1 left transient, otherwise recurrent.
     """
-    if env.kind is EnvKind.PERIODIC or env.tail_value != 0.5:
-        raise ValueError("operation requires an environment with fair tail")
+    delta = _fair_tail_delta(env)
     if not all(0.0 < p < 1.0 for p in env.params):
         raise ValueError("operation requires an elliptic prefix")
-    delta = math.fsum(2.0 * p - 1.0 for p in env.params)
-    if delta > 1.0:
-        return Classification.TRANSIENT_RIGHT
-    if delta < -1.0:
-        return Classification.TRANSIENT_LEFT
-    return Classification.RECURRENT
+    return _compare_with_one(delta, -delta)
 
 
 def bounded_delta(env: CookieEnvironment) -> float:
     """Total prefix drift of a bounded pile."""
-    if env.kind is EnvKind.PERIODIC or env.tail_value != 0.5:
-        raise ValueError("operation requires an environment with fair tail")
-    return math.fsum(2.0 * p - 1.0 for p in env.params)
+    return float(_fair_tail_delta(env))
 
 
 def classify_positive(delta: float) -> Classification:
@@ -322,6 +344,4 @@ def classify_positive(delta: float) -> Classification:
     """
     if math.isnan(delta) or delta < 0.0:
         raise ValueError("positive environments have nonnegative total drift")
-    if delta > 1.0:
-        return Classification.TRANSIENT_RIGHT
-    return Classification.RECURRENT
+    return _compare_with_one(delta, -delta)

@@ -1,0 +1,53 @@
+"""Slow, independent routes that tests compare the package against.
+
+None of these is used by the package itself: each one recomputes a law
+or a fixed point the direct way, so a test can hold the fast route to it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from erwlab.bpm import BpmModel, _bpm_step
+from erwlab.environments import CookieEnvironment
+from erwlab.kks import _require_nondegenerate
+from erwlab.periodic import InternalConsistencyError
+
+
+def power_iteration_stationary(matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> np.ndarray:
+    """Dominant left eigenvector of a stochastic matrix, normalized."""
+    m = matrix.shape[0]
+    pi = np.full(m, 1.0 / m)
+    for _ in range(max_iter):
+        nxt = pi @ matrix
+        nxt = nxt / nxt.sum()
+        if np.max(np.abs(nxt - pi)) < tol:
+            return nxt
+        pi = nxt
+    raise InternalConsistencyError("power iteration did not converge")
+
+
+def sample_U_reference(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
+    """Trial-by-trial Bernoulli draw of U(x)."""
+    _require_nondegenerate(env)
+    if x == 0:
+        return 1
+    fails = 0
+    succ = 0
+    i = 0
+    while fails < x:
+        i += 1
+        if rng.random() < env.cookie_at(i):
+            succ += 1
+        else:
+            fails += 1
+    return succ
+
+
+def bpm_step_samples(
+    model: BpmModel, x: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draws of one population step from size x (for ladder reuse)."""
+    if x < 1:
+        raise ValueError("step samples need x >= 1")
+    return _bpm_step(model, np.full(size, x, dtype=np.int64), rng)

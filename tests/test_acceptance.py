@@ -38,11 +38,11 @@ from erwlab.periodic import (
     half_half_threshold,
     mu_periodic,
     nu_periodic,
-    power_iteration_stationary,
     rho_periodic,
 )
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LYAPUNOV, substream
 from erwlab.walk import ensemble_walks
+from reference_routes import power_iteration_stationary
 
 S = DEFAULT_SEED
 

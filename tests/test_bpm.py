@@ -16,7 +16,6 @@ from erwlab.bpm import (
     MigrationSpec,
     OffspringSpec,
     _bpm_step,
-    bpm_step_samples,
     classify_bpm,
     parse_migration,
     parse_offspring,
@@ -25,6 +24,7 @@ from erwlab.bpm import (
 from erwlab.criterion import CriterionInput, VerdictValue, classify_chain
 from erwlab.kks import LadderEntry, LadderStats
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
+from reference_routes import bpm_step_samples
 
 S = DEFAULT_SEED
 

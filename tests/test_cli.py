@@ -7,6 +7,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from erwlab.cli import main
@@ -92,6 +93,33 @@ def test_analyze_emits_chain_csv(capsys, tmp_path):
     assert rows[0][:3] == ["j", "pi", "expected_run"]
     assert len(rows) == 3
     assert float(rows[1][1]) == pytest.approx(0.7)
+
+
+def test_classify_boundary_literals_are_exactly_one_and_recurrent(capsys):
+    r = _run_json(
+        capsys, ["classify", "--env", "periodic:9/10,9/10,3/10,3/10,2/5,1/5"]
+    )["result"]
+    assert r["theta_right"] == 1.0
+    assert r["classification"] == "Recurrent"
+
+    r = _run_json(capsys, ["classify", "--env", "bounded:0.4,0.8,0.8"])["result"]
+    assert r["delta"] == 1.0
+    assert r["classification"] == "Recurrent"
+
+
+def test_analyze_serves_a_long_random_period(capsys, tmp_path):
+    params = np.random.default_rng(1).uniform(0.05, 0.95, 512)
+    target = tmp_path / "chain.csv"
+    env = "periodic:" + ",".join(repr(float(p)) for p in params)
+    r = _run_json(capsys, ["analyze", "--env", env, "--chain-csv", str(target)])["result"]
+    assert r["mean_run_length"] == pytest.approx(r["mu"], abs=1e-10)
+    rows = list(csv.reader(target.open()))
+    assert len(rows) == 513
+    matrix = np.array([[float(v) for v in row[3:]] for row in rows[1:]])
+    pi = np.array([float(row[1]) for row in rows[1:]])
+    assert float(np.max(np.abs(matrix.sum(axis=1) - 1.0))) < 1e-12
+    q = 1.0 - params
+    assert np.allclose(pi, np.roll(q, 1) / q.sum(), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------
@@ -377,6 +405,14 @@ def test_bad_bpm_sizes_are_clean_errors(capsys, flags):
     assert code == 2
     assert out == ""
     assert "erwlab: error" in err
+
+
+def test_unreachable_oracle_tail_is_a_clean_error(capsys):
+    code, out, err = _run(capsys, ["oracle", "--env", "periodic:0.9999,0.9998", "--x", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("erwlab: error: tail")
+    assert "Traceback" not in err
 
 
 def test_bad_environment_literal_is_a_clean_error(capsys):

@@ -9,6 +9,7 @@ oracle) before being written down.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.periodic import (
     Classification,
+    InternalConsistencyError,
+    _verify_stationary,
     bounded_delta,
     classify_bounded,
     classify_periodic,
@@ -26,11 +29,12 @@ from erwlab.periodic import (
     half_half_threshold,
     mu_periodic,
     nu_periodic,
-    power_iteration_stationary,
     prefix_drifts,
     rho_periodic,
+    slot_runs,
     theta_periodic,
 )
+from reference_routes import power_iteration_stationary
 
 
 # ---------------------------------------------------------------------
@@ -84,6 +88,38 @@ def test_stationary_fixed_point_and_power_iteration_agree(values):
     assert float(np.max(np.abs(pi @ chain.matrix - pi))) < 1e-12
     pe = power_iteration_stationary(chain.matrix)
     assert float(np.max(np.abs(pe - pi))) < 1e-10
+
+
+@pytest.mark.parametrize("m", [512, 2000])
+def test_long_period_chain_is_stochastic_with_closed_form_law(m):
+    env = make_periodic(tuple(np.random.default_rng(1).uniform(0.05, 0.95, m)))
+    chain = failure_chain(env)
+    assert float(np.max(np.abs(chain.matrix.sum(axis=1) - 1.0))) < 1e-12
+    q = 1.0 - np.asarray(env.params)
+    assert np.allclose(chain.stationary, np.roll(q, 1) / q.sum(), rtol=0.0, atol=1e-15)
+    assert float(np.max(np.abs(chain.stationary @ chain.matrix - chain.stationary))) < 1e-12
+    assert chain.mean_run() == pytest.approx(mu_periodic(env), abs=1e-10)
+
+
+def test_matrix_is_the_slot_run_law_moved_one_slot_on():
+    params = (0.8, 0.3, 0.4, 0.5, 0.95)
+    chain = failure_chain(make_periodic(params))
+    runs, fail = slot_runs(params)
+    m = len(params)
+    assert fail == pytest.approx(1.0 - math.prod(params), rel=1e-14)
+    moved = np.empty((m, m))
+    for j in range(m):
+        for d in range(m):
+            moved[j, (j + d + 1) % m] = runs[j, d] / fail
+    np.testing.assert_allclose(chain.matrix, moved, rtol=1e-14, atol=0.0)
+
+
+def test_stationary_check_rejects_a_perturbed_closed_form():
+    chain = failure_chain(make_periodic((0.8, 0.3, 0.4, 0.5)))
+    _verify_stationary(chain.matrix, chain.stationary)
+    off = chain.stationary + np.array([1e-8, -1e-8, 0.0, 0.0])
+    with pytest.raises(InternalConsistencyError):
+        _verify_stationary(chain.matrix, off)
 
 
 # ---------------------------------------------------------------------
@@ -197,6 +233,46 @@ def test_diagnostics_leave_theta_unset_off_criticality():
     d = diagnostics(make_periodic((0.9, 0.3)))
     assert d.theta_right is None and d.rho is None
     assert d.classification is Classification.TRANSIENT_RIGHT
+
+
+def _tenths_on_the_boundary(m):
+    """Numerators k of every elliptic pile (k_1/10, ..., k_m/10) with
+    mean 1/2 and theta exactly 1.
+
+    With p = k/10 and D_i = sum_{j <= i} (2 k_j - 10), theta = 1 reads
+    sum (10 - k_i) D_i = 2 sum k_i (10 - k_i) in integers.
+    """
+    k = np.indices((9,) * m).reshape(m, -1).T + 1
+    k = k[k.sum(axis=1) == 5 * m]
+    d = np.cumsum(2 * k - 10, axis=1)
+    return k[((10 - k) * d).sum(axis=1) == 2 * (k * (10 - k)).sum(axis=1)]
+
+
+def test_theta_one_piles_in_tenths_are_recurrent():
+    piles = _tenths_on_the_boundary(5).tolist() + _tenths_on_the_boundary(6).tolist()
+    assert len(piles) == 26
+    for k in piles:
+        env = make_periodic([Fraction(v, 10) for v in k])
+        d = diagnostics(env)
+        assert d.theta_right == 1.0, k
+        assert d.classification is Classification.RECURRENT, k
+        mirror = env.mirror()
+        d = diagnostics(mirror)
+        assert d.theta_left == 1.0, k
+        assert d.classification is Classification.RECURRENT, k
+        assert classify_periodic(mirror) is Classification.RECURRENT, k
+
+
+def test_unit_drift_bounded_piles_in_twentieths_are_recurrent():
+    count = 0
+    for c in (2, 3):
+        k = np.indices((19,) * c).reshape(c, -1).T + 1
+        for row in k[np.abs((k - 10).sum(axis=1)) == 10].tolist():
+            env = make_bounded([Fraction(v, 20) for v in row])
+            assert abs(bounded_delta(env)) == 1.0, row
+            assert classify_bounded(env) is Classification.RECURRENT, row
+            count += 1
+    assert count == 360
 
 
 # ---------------------------------------------------------------------

@@ -23,9 +23,9 @@ from erwlab.kks import (
     exact_U_distribution,
     sample_U,
     sample_U_many,
-    sample_U_reference,
 )
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LADDER, substream
+from reference_routes import sample_U_reference
 
 S = DEFAULT_SEED
 
