@@ -1,10 +1,15 @@
 """Command line front end.
 
-Every subcommand resolves its options from three layers: built-in
-defaults, then a JSON config file given with --config, then explicit
-flags (flags win).  All randomness flows from a single master seed, so
-rerunning a command with the same resolved options reproduces its
-output byte for byte.
+``build_parser`` is the one place that declares each option: its name,
+type, default and choices.  A JSON config file given with --config is
+read as flags: every entry ``"key": value`` becomes ``--key=value``,
+placed before the flags of the command line.  So options resolve as
+defaults, then config file, then flags (a later flag wins), and a config
+value is parsed and checked exactly like the same flag.  Only ``xs`` may
+be a JSON list (joined with commas); ``null`` leaves an option at its
+default.  All randomness flows from a single master seed, so rerunning a
+command with the same resolved options reproduces its output byte for
+byte.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict
+from typing import Any, Optional, Sequence
 
 from . import bpm as bpm_mod
 from . import criterion as criterion_mod
@@ -23,95 +28,46 @@ from . import kks, periodic, walk
 from .environments import CookieEnvironment, EnvKind, format_env, parse_env
 from .seeding import TAG_LADDER, TAG_LYAPUNOV, default_seed, substream
 
-SCHEMA_VERSION = "2"
-
-_COMMON_DEFAULTS: dict[str, object] = {"seed": None, "out": None}
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "classify": {"env": None, "positive_delta": None},
-    "analyze": {"env": None, "chain_csv": None},
-    "oracle": {"env": None, "x": 1, "tail_eps": 1e-12},
-    "ladder": {"env": None, "xs": "10,100,1000,10000", "trials": 100000},
-    "criterion": {"ladder_csv": None, "mu": None, "mu_se": 0.0, "alpha": "log"},
-    "lyapunov": {"env": None, "kind": "identity", "x": 100, "trials": 100000},
-    "bpm": {"offspring": None, "migration": None, "horizon": 0, "trials": 0},
-    "walk": {
-        "env": None,
-        "steps": 1000,
-        "trials": 100,
-        "emit_positions": 0,
-        "positions_csv": None,
-    },
-    "zsim": {"env": None, "direction": "right", "horizon": 1000, "trials": 1000},
-}
+SCHEMA_VERSION = "3"
 
 
 class CliError(Exception):
     """User-facing option or input problem."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options of one command invocation.
+def _config_flags(path: str, command: str, known: set[str]) -> list[str]:
+    """The entries of a JSON config file as ``--key=value`` flags."""
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise CliError("config file must hold a JSON object")
 
-    Immutable so that the config echoed into every JSON payload is
-    exactly what the handlers consumed.
-    """
+    def text(value: object) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
 
-    command: str
-    seed: int
-    out: Optional[str]
-    params: tuple[tuple[str, object], ...]
-
-    def get(self, key: str) -> object:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def require(self, key: str) -> object:
-        value = self.get(key)
+    flags = []
+    for key, value in loaded.items():
+        if key not in known:
+            raise CliError(f"config key {key!r} not recognized for {command!r}")
         if value is None:
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-    def echo(self) -> dict:
-        base: dict[str, object] = {"command": self.command, "seed": self.seed}
-        base.update(dict(self.params))
-        return base
-
-
-def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise CliError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in merged:
-                raise CliError(f"config key {key!r} not recognized for {command!r}")
-            merged[key] = value
-    for key in merged:
-        given = getattr(args, key, None)
-        if given is not None:
-            merged[key] = given
-    seed = merged.pop("seed")
-    if seed is None:
-        seed = default_seed()
-    out = merged.pop("out")
-    return RunConfig(
-        command=command,
-        seed=int(seed),  # config may carry it as a string
-        out=None if out is None else str(out),
-        params=tuple(sorted(merged.items())),
-    )
+            continue
+        if key == "xs" and isinstance(value, list):
+            value = ",".join(map(text, value))
+        elif isinstance(value, (list, dict)):
+            raise CliError(f"config key {key!r} must hold a single value")
+        flags.append(f"--{key.replace('_', '-')}={text(value)}")
+    return flags
 
 
-def _env_of(cfg: RunConfig) -> CookieEnvironment:
-    return parse_env(str(cfg.require("env")))
+def _require(args: argparse.Namespace, key: str) -> Any:
+    value = getattr(args, key)
+    if value is None:
+        raise CliError(f"missing required option --{key.replace('_', '-')}")
+    return value
+
+
+def _env_of(args: argparse.Namespace) -> CookieEnvironment:
+    return parse_env(_require(args, "env"))
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -134,10 +90,13 @@ def _emit_csv(rows: Sequence[Sequence[object]], out: Optional[str]) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _parse_xs(raw: object) -> list[int]:
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
-    return [int(part) for part in str(raw).split(",") if part.strip()]
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated integers, got {text!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------
@@ -145,22 +104,15 @@ def _parse_xs(raw: object) -> list[int]:
 # ---------------------------------------------------------------------
 
 
-def _cmd_classify(cfg: RunConfig) -> dict:
-    if cfg.get("env") is None:
-        delta = float(cfg.require("positive_delta"))
+def _cmd_classify(args: argparse.Namespace) -> dict:
+    if args.env is None:
+        delta = _require(args, "positive_delta")
         label = periodic.classify_positive(delta).value
         return {"classification": label, "delta": delta, "method": "positive-drift"}
-    env = _env_of(cfg)
-    preds = env.predicates()
+    env = _env_of(args)
     result: dict = {
         "environment": format_env(env),
-        "predicates": {
-            "elliptic": preds.elliptic,
-            "positive": preds.positive,
-            "bounded": preds.bounded,
-            "periodic": preds.periodic,
-            "non_degenerate": preds.non_degenerate,
-        },
+        "predicates": asdict(env.predicates()),
     }
     if env.kind is EnvKind.PERIODIC:
         diag = periodic.diagnostics(env)
@@ -193,11 +145,11 @@ def _cmd_classify(cfg: RunConfig) -> dict:
     return result
 
 
-def _cmd_analyze(cfg: RunConfig) -> dict:
-    env = _env_of(cfg)
+def _cmd_analyze(args: argparse.Namespace) -> dict:
+    env = _env_of(args)
     diag = periodic.diagnostics(env)
     chain = periodic.failure_chain(env)
-    if cfg.get("chain_csv"):
+    if args.chain_csv:
         m = chain.period
         rows: list[list[object]] = [
             ["j", "pi", "expected_run"] + [f"P_to_{k}" for k in range(m)]
@@ -207,7 +159,7 @@ def _cmd_analyze(cfg: RunConfig) -> dict:
                 [j, repr(float(chain.stationary[j])), repr(float(chain.expected_runs[j]))]
                 + [repr(float(chain.matrix[j, k])) for k in range(m)]
             )
-        _emit_csv(rows, str(cfg.get("chain_csv")))
+        _emit_csv(rows, args.chain_csv)
     return {
         "environment": format_env(env),
         "classification": diag.classification.value,
@@ -222,77 +174,58 @@ def _cmd_analyze(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_oracle(cfg: RunConfig) -> list[list[object]]:
-    env = _env_of(cfg)
-    x = int(cfg.get("x"))  # type: ignore[arg-type]
-    dist = kks.exact_U_distribution(env, x, tail_eps=float(cfg.get("tail_eps")))  # type: ignore[arg-type]
+def _cmd_oracle(args: argparse.Namespace) -> list[list[object]]:
+    env = _env_of(args)
+    dist = kks.exact_U_distribution(env, args.x, tail_eps=args.tail_eps)
     rows: list[list[object]] = [["success_count", "probability"]]
     for k, p in zip(dist.support(), dist.mass):
         rows.append([int(k), repr(float(p))])
     return rows
 
 
-def _cmd_ladder(cfg: RunConfig) -> list[list[object]]:
-    env = _env_of(cfg)
-    xs = _parse_xs(cfg.get("xs"))
-    trials = int(cfg.get("trials"))  # type: ignore[arg-type]
-    rng = substream(cfg.seed, TAG_LADDER)
-    stats = kks.empirical_ladder(env, xs, trials, rng)
+def _cmd_ladder(args: argparse.Namespace) -> list[list[object]]:
+    env = _env_of(args)
+    rng = substream(args.seed, TAG_LADDER)
+    stats = kks.empirical_ladder(env, args.xs, args.trials, rng)
     return stats.to_rows()
 
 
-def _cmd_criterion(cfg: RunConfig) -> dict:
-    path = str(cfg.require("ladder_csv"))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _cmd_criterion(args: argparse.Namespace) -> dict:
+    with open(_require(args, "ladder_csv"), "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     ladder = kks.LadderStats.from_rows(rows)
     verdict = criterion_mod.classify_chain(
         criterion_mod.CriterionInput(
-            mu=float(cfg.require("mu")),  # type: ignore[arg-type]
-            mu_se=float(cfg.get("mu_se")),  # type: ignore[arg-type]
-            ladder=ladder,
-            alpha=str(cfg.get("alpha")),
+            mu=_require(args, "mu"), mu_se=args.mu_se, ladder=ladder
         )
     )
     return {
         "verdict": verdict.value.value,
         "rationale": verdict.rationale,
-        "margins": [
-            {
-                "x": m.x,
-                "lower_band": m.lower_band,
-                "upper_band": m.upper_band,
-                "above_upper": m.above_upper,
-                "below_lower": m.below_lower,
-            }
-            for m in verdict.margins
-        ],
+        "margins": [asdict(m) for m in verdict.margins],
     }
 
 
-def _cmd_lyapunov(cfg: RunConfig) -> dict:
-    env = _env_of(cfg)
-    kind = str(cfg.get("kind"))
-    x = int(cfg.get("x"))  # type: ignore[arg-type]
-    trials = int(cfg.get("trials"))  # type: ignore[arg-type]
-    rng = substream(cfg.seed, TAG_LYAPUNOV)
+def _cmd_lyapunov(args: argparse.Namespace) -> dict:
+    env = _env_of(args)
+    rng = substream(args.seed, TAG_LYAPUNOV)
     drift, se = criterion_mod.lyapunov_drift(
-        kks.step_sampler(env), kind, x, trials, rng
+        kks.step_sampler(env), args.kind, args.x, args.trials, rng
     )
     return {
         "environment": format_env(env),
-        "kind": kind,
-        "x": x,
-        "trials": trials,
+        "kind": args.kind,
+        "x": args.x,
+        "trials": args.trials,
         "drift": drift,
         "se": se,
     }
 
 
-def _cmd_bpm(cfg: RunConfig) -> dict:
+def _cmd_bpm(args: argparse.Namespace) -> dict:
     model = bpm_mod.BpmModel(
-        bpm_mod.parse_offspring(str(cfg.require("offspring"))),
-        bpm_mod.parse_migration(str(cfg.require("migration"))),
+        bpm_mod.parse_offspring(_require(args, "offspring")),
+        bpm_mod.parse_migration(_require(args, "migration")),
     )
     result: dict = {
         "mu": model.mu,
@@ -300,12 +233,11 @@ def _cmd_bpm(cfg: RunConfig) -> dict:
         "theta": model.theta,
         "classification": bpm_mod.classify_bpm(model).value,
     }
-    horizon = int(cfg.get("horizon"))  # type: ignore[arg-type]
-    trials = int(cfg.get("trials"))  # type: ignore[arg-type]
+    horizon, trials = args.horizon, args.trials
     if horizon < 0 or trials < 0:
         raise CliError("--horizon and --trials must be nonnegative")
     if horizon > 0 and trials > 0:
-        sim = bpm_mod.simulate_bpm(model, horizon, trials, cfg.seed)
+        sim = bpm_mod.simulate_bpm(model, horizon, trials, args.seed)
         result.update(
             horizon=horizon,
             trials=trials,
@@ -316,23 +248,21 @@ def _cmd_bpm(cfg: RunConfig) -> dict:
     return result
 
 
-def _cmd_walk(cfg: RunConfig) -> list[list[object]]:
-    env = _env_of(cfg)
-    steps = int(cfg.get("steps"))  # type: ignore[arg-type]
-    trials = int(cfg.get("trials"))  # type: ignore[arg-type]
-    every = int(cfg.get("emit_positions"))  # type: ignore[arg-type]
-    if cfg.get("positions_csv") and not every:
+def _cmd_walk(args: argparse.Namespace) -> list[list[object]]:
+    env = _env_of(args)
+    every = args.emit_positions
+    if args.positions_csv and not every:
         raise CliError("--positions-csv needs --emit-positions")
     traces = walk.ensemble_walks(
-        env, steps, trials, master_seed=cfg.seed, record_every=every
+        env, args.steps, args.trials, master_seed=args.seed, record_every=every
     )
-    if cfg.get("positions_csv"):
+    if args.positions_csv:
         rows: list[list[object]] = [["trial", "step", "position"]]
         for t, trace in enumerate(traces):
             assert trace.positions is not None
             for i, p in enumerate(trace.positions):
                 rows.append([t, i * every, int(p)])
-        _emit_csv(rows, str(cfg.get("positions_csv")))
+        _emit_csv(rows, args.positions_csv)
     out: list[list[object]] = [
         [
             "trial",
@@ -357,19 +287,14 @@ def _cmd_walk(cfg: RunConfig) -> list[list[object]]:
     return out
 
 
-def _cmd_zsim(cfg: RunConfig) -> dict:
-    env = _env_of(cfg)
-    direction = str(cfg.get("direction"))
+def _cmd_zsim(args: argparse.Namespace) -> dict:
+    env = _env_of(args)
     sim = kks.simulate_Z_ensemble(
-        env,
-        direction,
-        int(cfg.get("horizon")),  # type: ignore[arg-type]
-        int(cfg.get("trials")),  # type: ignore[arg-type]
-        master_seed=cfg.seed,
+        env, args.direction, args.horizon, args.trials, master_seed=args.seed
     )
     return {
         "environment": format_env(env),
-        "direction": direction,
+        "direction": args.direction,
         "horizon": sim.horizon,
         "trials": sim.trials,
         "survivors": sim.survivors,
@@ -401,7 +326,7 @@ _CSV_COMMANDS = {"oracle", "ladder", "walk"}
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--config", default=None, help="JSON file with option defaults")
+    sub.add_argument("--config", default=None, help="JSON file with option values")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -431,74 +356,84 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact step distribution as CSV")
     p.add_argument("--env", default=None)
-    p.add_argument("--x", type=int, default=None, help="chain position")
-    p.add_argument("--tail-eps", dest="tail_eps", type=float, default=None)
+    p.add_argument("--x", type=int, default=1, help="chain position")
+    p.add_argument("--tail-eps", dest="tail_eps", type=float, default=1e-12)
     _add_common(p)
 
     p = sub.add_parser("ladder", help="Monte Carlo drift/diffusion ladder as CSV")
     p.add_argument("--env", default=None)
-    p.add_argument("--xs", default=None, help="comma separated x values")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--xs", type=_int_list, default="10,100,1000,10000",
+                   help="comma separated x values")
+    p.add_argument("--trials", type=int, default=100000)
     _add_common(p)
 
     p = sub.add_parser("criterion", help="band verdict from a ladder CSV")
     p.add_argument("--ladder-csv", dest="ladder_csv", default=None)
     p.add_argument("--mu", type=float, default=None, help="exact asymptotic mean step")
-    p.add_argument("--mu-se", dest="mu_se", type=float, default=None)
-    p.add_argument("--alpha", default=None, choices=("log", "zero"))
+    p.add_argument("--mu-se", dest="mu_se", type=float, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("lyapunov", help="Monte Carlo Lyapunov drift at one x")
     p.add_argument("--env", default=None)
     p.add_argument(
-        "--kind", default=None, choices=("identity", "reciprocal", "loglog", "invlog")
+        "--kind",
+        default="identity",
+        choices=("identity", "reciprocal", "loglog", "invlog"),
     )
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--x", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100000)
     _add_common(p)
 
     p = sub.add_parser("bpm", help="branching-with-migration classification")
     p.add_argument("--offspring", default=None, help="geometric:m | poisson:m | table:p0,p1,...")
     p.add_argument("--migration", default=None, help="const:k | table:p0,p1,...@first")
-    p.add_argument("--horizon", type=int, default=None, help="also simulate this many generations")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=0, help="also simulate this many generations")
+    p.add_argument("--trials", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("walk", help="per-trial walk summaries as CSV")
     p.add_argument("--env", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--emit-positions", dest="emit_positions", type=int, default=None,
+    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--emit-positions", dest="emit_positions", type=int, default=0,
                    help="record every m-th position")
     p.add_argument("--positions-csv", dest="positions_csv", default=None)
     _add_common(p)
 
     p = sub.add_parser("zsim", help="crossing chain survival ensemble")
     p.add_argument("--env", default=None)
-    p.add_argument("--direction", default=None, choices=("right", "left"))
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--direction", default="right", choices=("right", "left"))
+    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000)
     _add_common(p)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args.command, args)
-        handler = _HANDLERS[args.command]
-        result = handler(cfg)
+        if args.config:
+            # config entries go right after the command, before the flags
+            at = argv.index(args.command) + 1
+            known = set(vars(args)) - {"command", "config"}
+            flags = _config_flags(args.config, args.command, known)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        if args.seed is None:
+            args.seed = default_seed()
+        echo = {k: v for k, v in vars(args).items() if k not in ("config", "out")}
+        result = _HANDLERS[args.command](args)
         if args.command in _CSV_COMMANDS:
-            _emit_csv(result, cfg.out)  # type: ignore[arg-type]
+            _emit_csv(result, args.out)
         else:
             payload = {
                 "schema_version": SCHEMA_VERSION,
-                "config": cfg.echo(),
+                "config": echo,
                 "result": result,
             }
-            _emit_json(payload, cfg.out)
+            _emit_json(payload, args.out)
     except (CliError, ValueError, OSError, kks.OracleHorizonError) as exc:
         print(f"erwlab: error: {exc}", file=sys.stderr)
         return 2

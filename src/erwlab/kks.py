@@ -456,12 +456,7 @@ def sample_U_many(
         raise ValueError("x must be nonnegative")
     if x == 0:
         return np.ones(size, dtype=np.int64)
-    const = _constant_value(env)
-    if const is not None:
-        return rng.negative_binomial(x, 1.0 - const, size).astype(np.int64)
-    if env.kind is EnvKind.PERIODIC:
-        return _dyadic(env).draw(np.full(size, x, dtype=np.int64), rng)
-    return _prefix_tail_draws(env, x, size, rng)
+    return _samplers(env)[1](np.full(size, x, dtype=np.int64), rng)
 
 
 def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:

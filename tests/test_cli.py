@@ -15,7 +15,10 @@ from erwlab.seeding import DEFAULT_SEED
 
 
 def _run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected a flag or a config value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -39,7 +42,7 @@ def _run_csv(capsys, argv):
 
 def test_classify_critical_periodic_payload(capsys):
     payload = _run_json(capsys, ["classify", "--env", "periodic:0.9,0.1"])
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert payload["config"]["command"] == "classify"
     assert payload["config"]["seed"] == DEFAULT_SEED
     r = payload["result"]
@@ -89,7 +92,8 @@ def test_analyze_emits_chain_csv(capsys, tmp_path):
     r = payload["result"]
     assert r["mu"] == pytest.approx(1.0)
     assert r["mean_run_length"] == pytest.approx(1.0)
-    rows = list(csv.reader(target.open()))
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][:3] == ["j", "pi", "expected_run"]
     assert len(rows) == 3
     assert float(rows[1][1]) == pytest.approx(0.7)
@@ -113,7 +117,8 @@ def test_analyze_serves_a_long_random_period(capsys, tmp_path):
     env = "periodic:" + ",".join(repr(float(p)) for p in params)
     r = _run_json(capsys, ["analyze", "--env", env, "--chain-csv", str(target)])["result"]
     assert r["mean_run_length"] == pytest.approx(r["mu"], abs=1e-10)
-    rows = list(csv.reader(target.open()))
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 513
     matrix = np.array([[float(v) for v in row[3:]] for row in rows[1:]])
     pi = np.array([float(row[1]) for row in rows[1:]])
@@ -202,7 +207,8 @@ def test_walk_positions_side_channel(capsys, tmp_path):
             str(target),
         ],
     )
-    rows = list(csv.reader(target.open()))
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "step", "position"]
     assert len(rows) == 1 + 2 * 5  # two trials, steps 0,25,50,75,100
     assert [int(r[1]) for r in rows[1:6]] == [0, 25, 50, 75, 100]
@@ -362,6 +368,81 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     code, out, err = _run(capsys, ["oracle", "--config", str(cfg)])
     assert code == 2
     assert "not recognized" in err
+
+
+def _write_config(tmp_path, entries):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,entries,named",
+    [
+        (["oracle", "--env", "periodic:0.9,0.1"], {"x": 2.7}, "--x"),
+        (["oracle", "--env", "periodic:0.9,0.1"], {"x": True}, "--x"),
+        (["zsim", "--env", "periodic:0.7,0.7"], {"trials": 3.9}, "--trials"),
+        (["zsim", "--env", "periodic:0.7,0.7"], {"horizon": 5.5}, "--horizon"),
+        (["zsim", "--env", "periodic:0.7,0.7"], {"direction": "up"}, "--direction"),
+        (["oracle", "--env", "periodic:0.9,0.1"], {"x": [2]}, "'x'"),
+    ],
+    ids=["float-x", "bool-x", "float-trials", "float-horizon", "bad-choice", "list-x"],
+)
+def test_config_values_are_checked_like_flags(capsys, tmp_path, argv, entries, named):
+    code, out, err = _run(capsys, argv + ["--config", _write_config(tmp_path, entries)])
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_null_config_value_keeps_the_default(capsys, tmp_path):
+    argv = ["oracle", "--env", "periodic:0.9,0.1"]
+    cfg = _write_config(tmp_path, {"x": None, "tail_eps": None})
+    code, out, err = _run(capsys, argv + ["--config", cfg])
+    assert code == 0, err
+    assert out == _run(capsys, argv)[1]
+
+
+@pytest.mark.parametrize(
+    "entries,flags",
+    [
+        (
+            {"env": "periodic:0.9,0.1", "xs": [10, 100], "trials": 2000, "seed": 3},
+            ["ladder", "--env", "periodic:0.9,0.1", "--xs", "10,100", "--trials", "2000",
+             "--seed", "3"],
+        ),
+        (
+            {"env": "periodic:0.7,0.7", "direction": "left", "horizon": 100,
+             "trials": 200, "seed": 5},
+            ["zsim", "--env", "periodic:0.7,0.7", "--direction", "left", "--horizon",
+             "100", "--trials", "200", "--seed", "5"],
+        ),
+        (
+            {"positive_delta": 2},
+            ["classify", "--positive-delta", "2"],
+        ),
+    ],
+    ids=["ladder", "zsim", "classify"],
+)
+def test_config_file_and_flags_give_the_same_bytes(capsys, tmp_path, entries, flags):
+    code, from_flags, err = _run(capsys, flags)
+    assert code == 0, err
+    code, from_config, err = _run(
+        capsys, [flags[0], "--config", _write_config(tmp_path, entries)]
+    )
+    assert code == 0, err
+    assert from_config == from_flags
+
+
+def test_criterion_has_no_alpha_option(capsys, tmp_path):
+    cfg = _write_config(tmp_path, {"alpha": "log"})
+    code, out, err = _run(capsys, ["criterion", "--config", cfg])
+    assert code == 2
+    assert "not recognized" in err
+    code, out, err = _run(capsys, ["criterion", "--alpha", "log"])
+    assert code == 2
+    assert "--alpha" in err
 
 
 def test_missing_required_option_is_a_clean_error(capsys):

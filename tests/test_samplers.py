@@ -1,7 +1,8 @@
 """Monte Carlo step samplers cross-validated against the exact DP.
 
 Every sampling route (dyadic block composition for periodic piles,
-prefix + tail, and the trial-by-trial reference) is held to the same
+prefix + tail, the crossing chain's inverse-CDF table, and the
+trial-by-trial reference) is held to the same
 standard: its draw frequencies must match the DP law, judged by a
 chi-square z-score with fixed seeds.
 """
@@ -13,6 +14,8 @@ import pytest
 
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.kks import (
+    _TABLE_CAP,
+    _cached_table,
     _dyadic,
     _pack_keys,
     _prefix_tail_draws,
@@ -158,6 +161,22 @@ def test_packed_search_matches_row_searchsorted(n_rows):
     got = _search(keys, starts, np.array(qr), np.array(qu))
     assert got.tolist() == want
     assert [_search_one(keys, starts, r, u) for r, u in zip(qr, qu)] == want
+
+
+@pytest.mark.parametrize(
+    "env",
+    [make_periodic((0.9, 0.1)), make_bounded((0.9, 0.9))],
+    ids=["periodic", "bounded"],
+)
+def test_table_draws_match_dp(env):
+    # The lockstep chain serves every z up to the cap from this table.
+    table = _cached_table(env, _TABLE_CAP)
+    for x in (1, 7, 500, _TABLE_CAP):
+        rng = substream(S, TAG_GENERAL, 31, x)
+        draws = table.draw(np.full(200_000, x), rng.random(200_000))
+        assert abs(_chi_square_z(env, x, draws)) < 4.0
+        singles = np.array([table.draw_one(x, u) for u in rng.random(20_000)])
+        assert abs(_chi_square_z(env, x, singles)) < 4.0
 
 
 def test_reference_sampler_frequencies_match_dp():
