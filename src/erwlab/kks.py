@@ -5,7 +5,8 @@ successive failure times of the cookie Bernoulli sequence, is a Markov
 chain whose step distribution U(x) counts successes before the x-th
 failure when cookies are consumed in pile order.  This module provides
 
-* an exact dynamic-programming oracle for the law of U(x),
+* an exact dynamic-programming oracle for the law of U(x), whose
+  failure-count recursion also builds the chain's inverse-CDF table,
 * fast exact samplers (dyadic block composition for periodic piles,
   prefix plus negative binomial for piles with a constant tail),
 * single-run simulation of the chain, and ensembles of it on
@@ -21,13 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bpm import ZEnsembleResult, absorb, escape_threshold
 from .environments import CookieEnvironment, EnvKind
-from .periodic import InternalConsistencyError, mu_periodic, slot_runs
+from .periodic import CRITICAL_TOL, InternalConsistencyError, mu_periodic, slot_runs
 from .seeding import TAG_ZSIM, default_seed, substream
 
 # Mass below this per-row threshold is trimmed from sampler tables; the
@@ -108,15 +109,51 @@ def _horizon_cap(env: CookieEnvironment, x: int) -> int:
     return int(64 * (x + env.period) * (1.0 + min(mu, 64.0)))
 
 
+def _failure_counts(env: CookieEnvironment, size: int, floor: float,
+                    tail_eps: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Free (absorption-free) failure-count recursion over the pile's trials.
+
+    ``live[f]`` is the chance that the trials so far hold f failures, for
+    f < ``size``; mass reaching ``size`` failures leaves.  ``live`` is kept
+    on a window [lo, hi) whose ends never move back: lo steps past entries
+    below ``floor``, and hi opens the next count once the chance flowing
+    into it reaches ``floor`` (0 drops nothing).  Trial n, with failure
+    chance q_n, yields ``(lo, chances)``: failure lo + i + 1 lands on it
+    with chance ``chances[i] = q_n * live[lo + i]``.  The sweep stops once
+    the window holds less than ``tail_eps``, read every 32 trials.
+    """
+    cap = _horizon_cap(env, size)
+    live = np.zeros(size)
+    live[0] = 1.0
+    lo, hi = 0, 1
+    # Termination reads the live window directly; a running "absorbed"
+    # total cannot be trusted to cross 1 - tail_eps because its own
+    # rounding error is of the same order.
+    for n in range(1, cap + 1):
+        c = env.cookie_at(n)
+        window = live[lo:hi]
+        chances = (1.0 - c) * window
+        yield lo, chances
+        window *= c
+        if hi < size and chances[-1] >= floor:
+            hi += 1
+        live[lo + 1 : hi] += chances[: hi - lo - 1]
+        while live[lo] < floor and lo < hi - 1:
+            lo += 1
+        if n % 32 == 0 and float(live[lo:hi].sum()) < tail_eps:
+            return
+    raise OracleHorizonError(f"tail {tail_eps:g} not reached within {cap} trials")
+
+
 def exact_U_distribution(
     env: CookieEnvironment, x: int, tail_eps: float = 1e-12
 ) -> UDistribution:
     """Exact law of U(x) by forward dynamic programming.
 
-    The state is the number of failures seen so far; trial n consumes
-    cookie n of the pile.  Mass absorbing at the x-th failure on trial n
-    contributes probability to the success count n - x.  Enumeration
-    stops once the live (un-absorbed) mass drops below ``tail_eps``.
+    Trial n consumes cookie n of the pile.  The x-th failure landing on
+    trial n gives the success count n - x; ``_failure_counts`` runs
+    untrimmed until the mass still short of x failures drops below
+    ``tail_eps``.
     """
     _require_nondegenerate(env)
     if x < 0:
@@ -125,34 +162,10 @@ def exact_U_distribution(
         raise ValueError("tail_eps must be positive")
     if x == 0:
         return UDistribution(0, 1, np.array([1.0]), 0.0)
-
-    cap = _horizon_cap(env, x)
-    live = np.zeros(x)
-    live[0] = 1.0
-    masses: list[float] = []
-    n = 0
-    # Termination reads the live array directly every few trials; a
-    # running "absorbed" total cannot be trusted to cross 1 - tail_eps
-    # because its own rounding error is of the same order.
-    while True:
-        n += 1
-        if n > cap:
-            raise OracleHorizonError(
-                f"tail {tail_eps:g} not reached within {cap} trials"
-            )
-        c = env.cookie_at(n)
-        q = 1.0 - c
-        ab = q * live[x - 1]
-        if n >= x:
-            masses.append(ab)
-        if x > 1:
-            live[1:] = c * live[1:] + q * live[:-1]
-        live[0] *= c
-        if n % 32 == 0 and float(live.sum()) < tail_eps:
-            break
-    mass = np.array(masses)
-    tail = max(0.0, 1.0 - math.fsum(masses))
-    return UDistribution(x=x, support_offset=0, mass=mass, tail_bound=tail)
+    # From trial x on the window is [0, x), so its last chance is failure x's.
+    steps = enumerate(_failure_counts(env, x, 0.0, tail_eps), 1)
+    masses = [chances[-1] for n, (_, chances) in steps if n >= x]
+    return UDistribution(x, 0, np.array(masses), max(0.0, 1.0 - math.fsum(masses)))
 
 
 class ExactMoments(NamedTuple):
@@ -416,11 +429,11 @@ class _DyadicSampler:
         xs = np.asarray(xs, dtype=np.int64)
         if np.any(xs < 1):
             raise ValueError("dyadic sampler serves x >= 1")
-        top = self._top(int(xs.max()))
+        top = self._top(int(xs.max(initial=1)))
         out = np.zeros(len(xs), dtype=np.int64)
         state = np.zeros(len(xs), dtype=np.int64)
         blocks = xs >> top
-        for j in range(int(blocks.max())):
+        for j in range(int(blocks.max(initial=0))):
             self._advance(top, np.flatnonzero(blocks > j), out, state, rng)
         for k in range(top - 1, -1, -1):
             self._advance(k, np.flatnonzero((xs >> k) & 1), out, state, rng)
@@ -514,11 +527,14 @@ _TABLE_CAP = _KEY_ROWS
 class _UTable:
     """Inverse-CDF rows of U(x) for every x up to a cap.
 
-    Built from one free (absorption-free) failure-count DP: the x-th
-    failure lands on trial n exactly when the free process has x - 1
-    failures after n - 1 trials and trial n fails, so a single sweep
-    serves all rows.  Rows are trimmed to relative mass 1 - 2e-15 and
-    renormalized; the table backs samplers only, never the oracle.
+    Built from one sweep of ``_failure_counts`` with a window floor of
+    1e-18: the x-th failure lands on trial n exactly when the free
+    process has x - 1 failures after n - 1 trials and trial n fails, so
+    each trial's chances feed every row in the window.  Its ends never
+    move back, so row x is one run of trials.  Rows are trimmed to
+    relative mass 1 - 2e-15 and renormalized (within 3e-13 of the oracle
+    in total variation, as measured up to x = 2048); the table backs
+    samplers only, never the oracle.
 
     Row x - 1 of the packed ``keys`` holds the cdf of U(x) beyond its
     first ``row_k0[x - 1]`` successes.  A draw is one search of the keys,
@@ -536,56 +552,36 @@ class _UTable:
 
     @staticmethod
     def build(env: CookieEnvironment, x_cap: int) -> "_UTable":
-        mu = min(asymptotic_mu(env), 256.0)
-        scale = _diffusion_scale(env) + 0.5
-        width = int(x_cap * max(1.0, mu) + 40.0 * math.sqrt(scale * x_cap * max(1.0, mu)) + 256)
-        dense = np.zeros((x_cap, width))
-        # live[f] = P(free failure process sits at f), kept on the
-        # significant window [lo, hi); mass crossing f = x_cap is dropped.
-        live = np.zeros(x_cap)
-        live[0] = 1.0
-        lo = 0
-        hi = 1
-        n = 0
-        cap = _horizon_cap(env, x_cap)
-        while n < cap:
-            c = env.cookie_at(n + 1)
-            q = 1.0 - c
-            f = np.arange(lo, hi)
-            k = n - f
-            keep = k < width
-            if not np.all(keep):
-                f = f[keep]
-                k = k[keep]
-            dense[f, k] = q * live[f]
-            upper = min(hi + 1, x_cap)
-            live[lo + 1 : upper] = c * live[lo + 1 : upper] + q * live[lo : upper - 1]
-            live[lo] *= c
-            hi = upper
-            n += 1
-            while lo < hi - 1 and live[lo] < 1e-18:
-                lo += 1
-            if n % 64 == 0 and float(live[lo:hi].sum()) < 1e-16:
-                break
-        else:
-            raise InternalConsistencyError("sampler table build hit the trial cap")
-        row_k0 = np.zeros(x_cap, dtype=np.int64)
-        sizes = np.zeros(x_cap, dtype=np.int64)
+        try:
+            los, emitted = zip(*_failure_counts(env, x_cap, 1e-18, 1e-16))
+        except OracleHorizonError as exc:
+            raise InternalConsistencyError(f"sampler table build: {exc}") from exc
+        lo = np.array(los)
+        hi = lo + [len(e) for e in emitted]
+        flat = np.concatenate(emitted)
+        del emitted
+        # Trial t (from 0) emits failure f + 1 at flat[base[t] + f] for
+        # lo[t] <= f < hi[t].  Row f takes trials first[f] .. ends[f] - 1,
+        # success counts t - f.
+        base = np.cumsum(hi - lo) - hi
+        rows = np.arange(x_cap)
+        first = np.searchsorted(hi, rows, side="right")
+        ends = np.searchsorted(lo, rows, side="right")
+        row_k0 = first - rows
         pieces: list[np.ndarray] = []
-        for x in range(1, x_cap + 1):
-            row = dense[x - 1]
+        for f in range(x_cap):
+            row = flat[base[first[f] : ends[f]] + f]
             total = row.sum()
-            if total <= 0.0:
-                raise InternalConsistencyError(f"empty sampler row at x={x}")
             cs = np.cumsum(row)
             k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
             k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
             cdf = np.cumsum(row[k_lo:k_hi])
             cdf /= cdf[-1]
             cdf[-1] = 1.0
-            row_k0[x - 1] = k_lo
-            sizes[x - 1] = len(cdf)
+            row_k0[f] += k_lo
             pieces.append(cdf)
+        del flat
+        sizes = np.array([len(p) for p in pieces])
         return _UTable(x_cap, row_k0, *_pack_keys(np.concatenate(pieces), sizes))
 
     def draw(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -597,9 +593,7 @@ class _UTable:
         return int(self.row_k0[x - 1]) + _search_one(self.keys, self.starts, x - 1, u)
 
 
-@lru_cache(maxsize=8)
-def _cached_table(env: CookieEnvironment, x_cap: int) -> _UTable:
-    return _UTable.build(env, x_cap)
+_cached_table = lru_cache(maxsize=8)(_UTable.build)
 
 
 # ---------------------------------------------------------------------
@@ -678,10 +672,13 @@ def simulate_Z_ensemble(
 ) -> ZEnsembleResult:
     """Ensemble of crossing-chain runs from Z_0 = 1 (``bpm.absorb``).
 
-    Lockstep draws for sizes within the table cap come from precomputed
-    inverse-CDF rows, larger sizes from the exact vector samplers; the
-    last few runs finish through scalar draws.  Results are a pure
-    function of (environment, direction, horizon, trials, master_seed).
+    On a critical or subcritical pile, lockstep draws within the table
+    cap come from precomputed inverse-CDF rows; a supercritical chain
+    escapes before a fresh table repays its build, and a constant pile's
+    negative binomial draws beat one.  Other draws come from the exact
+    samplers, the last few runs' through scalar draws.  Results are a
+    pure function of (environment, direction, horizon, trials,
+    master_seed).
     """
     eff = _directed(env, direction)
     _require_nondegenerate(eff)
@@ -692,9 +689,9 @@ def simulate_Z_ensemble(
     rng = substream(master_seed, TAG_ZSIM)
     esc = _escape_threshold(eff, horizon)
     one, many = _samplers(eff)
-    if _constant_value(eff) is not None:
+    if _constant_value(eff) is not None or (esc is not None and not eff.is_critical(CRITICAL_TOL)):
         return absorb(1, horizon, trials, esc, many, one, rng)
-    table = _cached_table(eff, max(64, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc)))
+    table = _cached_table(eff, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc))
 
     def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(len(x))
@@ -782,6 +779,8 @@ def empirical_ladder(
     """
     _require_nondegenerate(env)
     xs = list(xs)
+    if not xs:
+        raise ValueError("ladder needs at least one x value")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("ladder x values must be strictly increasing")
     if any(x < 1 for x in xs):

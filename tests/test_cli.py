@@ -362,6 +362,15 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     assert float(payload_rows[1][1]) == pytest.approx(0.1)
 
 
+def test_empty_ladder_is_an_error(capsys, tmp_path):
+    argv = ["ladder", "--env", "periodic:0.9,0.1", "--trials", "1000"]
+    for extra in (["--xs", ","], ["--config", _write_config(tmp_path, {"xs": []})]):
+        code, out, err = _run(capsys, argv + extra)
+        assert code == 2
+        assert out == ""
+        assert "at least one x" in err
+
+
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"environment": "periodic:0.9,0.1"}))

@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from erwlab import kks
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic
 from erwlab.kks import (
+    _KEY_ROWS,
     _TABLE_CAP,
+    _U_BITS,
+    _U_SCALE,
+    _UTable,
     _cached_table,
     _dyadic,
     _pack_keys,
@@ -27,6 +32,7 @@ from erwlab.kks import (
     sample_U,
     sample_U_many,
 )
+from erwlab.periodic import InternalConsistencyError
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LADDER, substream
 from reference_routes import sample_U_reference
 
@@ -179,6 +185,46 @@ def test_table_draws_match_dp(env):
         assert abs(_chi_square_z(env, x, singles)) < 4.0
 
 
+def _table_row_law(table, x):
+    """Support offset and pmf of table row x, read back from its keys."""
+    r = x - 1
+    keys = table.keys[r // _KEY_ROWS]
+    row = keys[(keys >> np.uint64(_U_BITS)) == r % _KEY_ROWS]
+    cdf = (row & np.uint64((1 << _U_BITS) - 1)).astype(float) / _U_SCALE
+    return int(table.row_k0[r]), np.diff(np.concatenate(([0.0], cdf, [1.0])))
+
+
+@pytest.mark.parametrize(
+    "env,cap",
+    [(make_periodic((0.9, 0.1)), _TABLE_CAP), (make_bounded((0.9, 0.9)), _TABLE_CAP),
+     (make_periodic((0.99, 0.98)), 274)],
+    ids=["periodic", "bounded", "long-runs"],
+)
+def test_table_rows_match_the_oracle(env, cap):
+    # U(274) on (0.99, 0.98) averages about 18,000 successes, so this case
+    # checks that rows have no width limit.  (The chain itself draws this
+    # supercritical pile from its exact samplers, with no table.)
+    table = _UTable.build(env, cap)
+    for x in (x for x in (1, 7, 500, cap) if x <= cap):
+        k0, pmf = _table_row_law(table, x)
+        exact = exact_U_distribution(env, x, tail_eps=1e-14)
+        n = max(k0 + len(pmf), len(exact.mass))
+        a = np.zeros(n)
+        a[k0 : k0 + len(pmf)] = pmf
+        b = np.zeros(n)
+        b[: len(exact.mass)] = exact.mass
+        tv = 0.5 * float(np.abs(a - b).sum()) + exact.tail_bound
+        assert tv <= 1e-11, (x, tv)
+
+
+def test_table_build_past_its_trial_cap_is_an_internal_error(monkeypatch):
+    # The table picks its own tail, so running out of trials is a fault of
+    # the program, not an oracle horizon the user can widen.
+    monkeypatch.setattr(kks, "_horizon_cap", lambda env, x: 40)
+    with pytest.raises(InternalConsistencyError):
+        _UTable.build(make_periodic((0.9, 0.1)), 64)
+
+
 def test_reference_sampler_frequencies_match_dp():
     env = make_periodic((0.9, 0.1))
     x = 6
@@ -242,6 +288,19 @@ def test_draws_concentrate_at_the_drift_rate():
     assert freq < 1e-4
 
 
+@pytest.mark.parametrize(
+    "env",
+    [make_periodic((0.7, 0.7)), make_periodic((0.9, 0.1)), make_custom_tail((0.9, 0.2), 0.4)],
+    ids=["constant", "periodic", "prefix-tail"],
+)
+def test_empty_batch_is_an_empty_array(env):
+    rng = substream(S, TAG_GENERAL, 29)
+    for x in (1, 7, 300):
+        draws = sample_U_many(env, x, 0, rng)
+        assert draws.dtype == np.int64 and draws.shape == (0,)
+    assert rng.random() == substream(S, TAG_GENERAL, 29).random()
+
+
 def test_zero_target_draws_are_all_one():
     env = make_periodic((0.9, 0.1))
     rng = substream(S, TAG_GENERAL, 28)
@@ -302,3 +361,9 @@ def test_ladder_input_validation():
         empirical_ladder(env, (0, 10), 1_000, rng)
     with pytest.raises(ValueError):
         empirical_ladder(env, (10, 20), 99, rng)
+
+
+def test_ladder_needs_an_x_value():
+    env = make_periodic((0.9, 0.1))
+    with pytest.raises(ValueError, match="at least one x"):
+        empirical_ladder(env, (), 1_000, substream(S, TAG_LADDER, 5))

@@ -11,16 +11,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from erwlab.bpm import ZEnsembleResult
+from erwlab.bpm import ZEnsembleResult, absorb
 from erwlab.environments import make_periodic, parse_env
 from erwlab.kks import (
     ZRunSummary,
+    _cached_table,
+    _directed,
     _escape_threshold,
+    _samplers,
     sample_U,
     simulate_Z,
     simulate_Z_ensemble,
 )
-from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
+from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_ZSIM, substream
 
 S = DEFAULT_SEED
 
@@ -58,6 +61,37 @@ def test_long_success_runs_reach_the_scalar_stragglers():
     res = simulate_Z_ensemble(env, "right", 50, 50, master_seed=S)
     assert res.survival_frequency > 0.9
     assert res.escaped == res.survivors
+
+
+@pytest.mark.parametrize(
+    "lit,direction",
+    [("periodic:0.8,0.3", "right"), ("periodic:0.52,0.5", "right"),
+     ("periodic:0.99,0.98", "right"), ("tail:0.9,0.95,0.2@0.6", "right")],
+)
+def test_supercritical_ensemble_draws_from_the_exact_samplers(lit, direction):
+    # A supercritical chain escapes before a fresh table repays its build,
+    # so every draw comes from the pile's exact samplers.
+    env = parse_env(lit)
+    res = simulate_Z_ensemble(env, direction, 300, 2_000, master_seed=S)
+    eff = _directed(env, direction)
+    one, many = _samplers(eff)
+    want = absorb(1, 300, 2_000, _escape_threshold(eff, 300), many, one,
+                  substream(S, TAG_ZSIM))
+    assert np.array_equal(res.death_steps, want.death_steps)
+    assert res.escaped == want.escaped
+
+
+@pytest.mark.parametrize(
+    "lit,direction,tables",
+    [("periodic:0.8,0.3", "left", 1), ("periodic:0.499,0.5", "right", 1),
+     ("periodic:0.9,0.1", "right", 1), ("periodic:0.8,0.3", "right", 0),
+     ("periodic:0.5,0.5", "right", 0)],
+)
+def test_only_critical_and_subcritical_ensembles_build_a_table(lit, direction, tables):
+    # Near criticality a subcritical run lives long, and table draws pay.
+    _cached_table.cache_clear()
+    simulate_Z_ensemble(parse_env(lit), direction, 50, 50, master_seed=S)
+    assert _cached_table.cache_info().currsize == tables
 
 
 def test_survival_at_is_monotone_and_anchored():
