@@ -5,8 +5,8 @@ exact or estimated with standard errors, ``classify_chain`` applies the
 mean-growth dichotomy and, in the critical mean-1 case, compares the
 theta ladder against two explicit bands:
 
-    lower(x) = 1 + 1/ln x - alpha(x) / sqrt(x)
-    upper(x) = 1 + 2/ln x + alpha(x) / sqrt(x)
+    lower(x) = 1 + 1/ln x - ln x / sqrt(x)
+    upper(x) = 1 + 2/ln x + ln x / sqrt(x)
 
 Theta above the upper band at every ladder point certifies transience,
 below the lower band at every point certifies recurrence, anything else
@@ -19,13 +19,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
 from .kks import LadderStats
-
-AlphaSchedule = Union[str, Callable[[float], float]]
 
 
 class VerdictValue(enum.Enum):
@@ -68,25 +66,15 @@ class CriterionInput:
     mu: float
     mu_se: float
     ladder: LadderStats
-    alpha: AlphaSchedule = "log"
 
 
-def resolve_alpha(alpha: AlphaSchedule) -> Callable[[float], float]:
-    if callable(alpha):
-        return alpha
-    if alpha == "log":
-        return math.log
-    raise ValueError(f"unknown alpha schedule {alpha!r}")
-
-
-def band_bounds(x: float, alpha: AlphaSchedule = "log") -> tuple[float, float]:
+def band_bounds(x: float) -> tuple[float, float]:
     """(lower, upper) decision band at ladder point x."""
     if x < 10:
         raise ValueError("bands are defined for x >= 10")
-    a = resolve_alpha(alpha)(x)
     lx = math.log(x)
     rx = 1.0 / math.sqrt(x)
-    return 1.0 + 1.0 / lx - a * rx, 1.0 + 2.0 / lx + a * rx
+    return 1.0 + 1.0 / lx - lx * rx, 1.0 + 2.0 / lx + lx * rx
 
 
 def classify_chain(evidence: CriterionInput) -> Verdict:
@@ -109,7 +97,7 @@ def classify_chain(evidence: CriterionInput) -> Verdict:
         raise ValueError("critical-case classification needs a theta ladder")
     margins = []
     for e in entries:
-        lower, upper = band_bounds(e.x, evidence.alpha)
+        lower, upper = band_bounds(e.x)
         margins.append(
             BandMargins(
                 x=e.x,
@@ -171,6 +159,9 @@ def _lyapunov_value(kind: str, t: np.ndarray) -> np.ndarray:
 
 StepSampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
+# Draws per sampler call, bounding the memory of one estimate.
+_DRIFT_BLOCK = 1 << 16
+
 
 def lyapunov_drift(
     sampler: StepSampler,
@@ -178,7 +169,6 @@ def lyapunov_drift(
     x: int,
     trials: int,
     rng: np.random.Generator,
-    block: int = 1 << 16,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[V(step from x)] - V(x) with its SE.
 
@@ -198,7 +188,7 @@ def lyapunov_drift(
     s2 = 0.0
     done = 0
     while done < trials:
-        b = min(block, trials - done)
+        b = min(_DRIFT_BLOCK, trials - done)
         v = _lyapunov_value(kind, sampler(x, b, rng))
         s1 += float(v.sum())
         s2 += float((v * v).sum())

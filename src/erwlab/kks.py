@@ -8,7 +8,9 @@ failure when cookies are consumed in pile order.  This module provides
 * an exact dynamic-programming oracle for the law of U(x), whose
   failure-count recursion also builds the chain's inverse-CDF table,
 * fast exact samplers (dyadic block composition for periodic piles,
-  prefix plus negative binomial for piles with a constant tail),
+  prefix plus negative binomial for piles with a constant tail); the
+  dyadic levels and the chain's table draw through ``_InverseCdf``,
+  packed integer keys searched in one call per key array,
 * single-run simulation of the chain, and ensembles of it on
   ``bpm.absorb``, the absorbing-chain engine shared with the population,
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -224,57 +226,12 @@ def _prefix_tail_draws(
     return out
 
 
-# Inverse-CDF lookups compare integers.  rng.random() returns j / 2^53
-# for an integer j, with every numpy bit generator.  Entry c of cdf row
-# r becomes the key (r << 53) + ceil(c * 2^53), and u the query
-# (r << 53) + j.  c <= u exactly when ceil(c * 2^53) <= j, so a
-# right-sided search for the query counts the entries of row r at or
-# below u, as a search of the float row would.  Entries of 1.0 or more
-# (cumsum rounding can lift one just above 1) are dropped: no u < 1
-# reaches them, and their keys would spill into row r + 1.  The row
-# index takes the 11 bits above j, so one uint64 key array addresses
-# 2^11 rows; longer tables get one key array per 2^11 rows, each
-# keyed by r mod 2^11.
+# Packed inverse-CDF keys; the layout is described on ``_InverseCdf``.
 _U_BITS = 53
 _U_SCALE = float(1 << _U_BITS)
 _ROW_BITS = 64 - _U_BITS
 _KEY_ROWS = 1 << _ROW_BITS
 _PACK_ROWS = 16  # divides _KEY_ROWS
-
-
-def _pack_keys(
-    cdf: np.ndarray, sizes: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Search keys of stacked cdf rows, row r holding ``sizes[r]`` >= 1
-    entries of the flat ``cdf``.
-
-    Returns one key array per 2^11 rows and ``starts``, the position of
-    each row's first key within its array.  The keys overwrite ``cdf``
-    in place, 16 rows at a time, so no temporary is large: freeing
-    multi-megabyte temporaries raises malloc's mmap threshold, and the
-    fragmented heap then lifts later peaks (5 % in the chain benchmark).
-    """
-    buf = cdf.view(np.uint64)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    starts = np.empty(len(sizes), dtype=np.int64)
-    keys = []
-    end = first = 0
-    for r0 in range(0, len(sizes), _PACK_ROWS):
-        r1 = min(r0 + _PACK_ROWS, len(sizes))
-        if r0 % _KEY_ROWS == 0:
-            first = end
-        c = cdf[bounds[r0] : bounds[r1]]
-        live = c < 1.0
-        counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
-        k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
-        k += np.repeat((np.arange(r0, r1, dtype=np.uint64) % _KEY_ROWS) << _U_BITS, counts)
-        starts[r0:r1] = end - first + np.cumsum(counts) - counts
-        # Writes stay behind the rows not yet read: end <= bounds[r0].
-        buf[end : end + len(k)] = k
-        end += len(k)
-        if r1 % _KEY_ROWS == 0 or r1 == len(sizes):
-            keys.append(buf[first:end])
-    return tuple(keys), starts
 
 
 def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -286,35 +243,87 @@ def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _search(
-    keys: tuple[np.ndarray, ...], starts: np.ndarray, rows: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Index within row ``rows[i]`` of the first cdf entry above ``u[i]``;
-    each u must be a value rng.random() returns."""
-    q = (u * _U_SCALE).astype(np.uint64)
-    q |= (rows.astype(np.uint64) & (_KEY_ROWS - 1)) << _U_BITS
-    if len(keys) == 1:
-        return _sorted_search(keys[0], q) - starts[rows]
-    pos = np.empty(len(q), dtype=np.int64)
-    part = rows >> _ROW_BITS
-    for c, k in enumerate(keys):
-        sel = np.flatnonzero(part == c)
-        pos[sel] = _sorted_search(k, q[sel])
-    return pos - starts[rows]
+class _InverseCdf:
+    """Inverse-CDF draws from stacked cdf rows.
 
+    Row r holds ``sizes[r]`` >= 1 entries of the flat ``cdf``; a draw
+    from it with uniform u is ``k0`` (one offset, or one per row) plus
+    the index of the first entry above u.
 
-def _search_one(keys: tuple[np.ndarray, ...], starts: np.ndarray, row: int, u: float) -> int:
-    """``_search`` for one row and one uniform, in one numpy call."""
-    q = ((row & (_KEY_ROWS - 1)) << _U_BITS) + int(u * _U_SCALE)
-    return int(keys[row >> _ROW_BITS].searchsorted(np.uint64(q), side="right")) - int(starts[row])
+    Lookups compare integers.  rng.random() returns j / 2^53 for an
+    integer j, with every numpy bit generator.  Entry c of row r becomes
+    the key (r << 53) + ceil(c * 2^53), and u the query (r << 53) + j.
+    c <= u exactly when ceil(c * 2^53) <= j, so a right-sided search for
+    the query counts the entries of row r at or below u, as a search of
+    the float row would, and a batch is one ``searchsorted`` per key
+    array whatever rows its draws sit in.  Entries of 1.0 or more (cumsum
+    rounding can lift one just above 1) are dropped: no u < 1 reaches
+    them, and their keys would spill into row r + 1.  The row index takes
+    the 11 bits above j, so one uint64 key array addresses 2^11 rows;
+    more rows get one key array per 2^11 rows, each keyed by r mod 2^11.
+
+    ``base[r]`` is ``k0[r]`` less the position of row r's first key
+    within its array, so a draw is ``base[r]`` plus the search result.
+    The keys overwrite ``cdf`` in place, 16 rows at a time, so no
+    temporary is large: freeing multi-megabyte temporaries raises
+    malloc's mmap threshold, and the fragmented heap then lifts later
+    peaks (5 % in the chain benchmark).
+    """
+
+    def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
+        buf = cdf.view(np.uint64)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        starts = np.empty(len(sizes), dtype=np.int64)
+        keys = []
+        end = first = 0
+        for r0 in range(0, len(sizes), _PACK_ROWS):
+            r1 = min(r0 + _PACK_ROWS, len(sizes))
+            if r0 % _KEY_ROWS == 0:
+                first = end
+            c = cdf[bounds[r0] : bounds[r1]]
+            live = c < 1.0
+            counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
+            k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
+            k += np.repeat((np.arange(r0, r1, dtype=np.uint64) % _KEY_ROWS) << _U_BITS, counts)
+            starts[r0:r1] = end - first + np.cumsum(counts) - counts
+            # Writes stay behind the rows not yet read: end <= bounds[r0].
+            buf[end : end + len(k)] = k
+            end += len(k)
+            if r1 % _KEY_ROWS == 0 or r1 == len(sizes):
+                keys.append(buf[first:end])
+        self.keys = tuple(keys)
+        self.base = k0 - starts
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One draw from row ``rows[i]`` per uniform ``u[i]``; each u must
+        be a value rng.random() returns."""
+        q = (u * _U_SCALE).astype(np.uint64)
+        q |= (rows.astype(np.uint64) & (_KEY_ROWS - 1)) << _U_BITS
+        # Search, then gather base: their temporaries are never alive together.
+        if len(self.keys) == 1:
+            return _sorted_search(self.keys[0], q) + self.base[rows]
+        pos = np.empty(len(q), dtype=np.int64)
+        part = rows >> _ROW_BITS
+        for c, k in enumerate(self.keys):
+            sel = np.flatnonzero(part == c)
+            pos[sel] = _sorted_search(k, q[sel])
+        return pos + self.base[rows]
+
+    def draw_one(self, row: int, u: float) -> int:
+        """``draw`` for one row and one uniform, in one numpy call."""
+        q = ((row & (_KEY_ROWS - 1)) << _U_BITS) + int(u * _U_SCALE)
+        keys = self.keys[row >> _ROW_BITS]
+        return int(self.base[row]) + int(keys.searchsorted(np.uint64(q), side="right"))
 
 
 class _DyadicLevel(NamedTuple):
     k0: int
     width: int
     rows: np.ndarray
-    keys: tuple[np.ndarray, ...]
-    starts: np.ndarray
+    inv: _InverseCdf
 
 
 class _DyadicSampler:
@@ -333,12 +342,10 @@ class _DyadicSampler:
     low with one inverse-CDF lookup per bit, so the cost per draw is
     logarithmic in x.  Levels extend lazily as larger x appear.
 
-    Each level stores its cdf rows as packed integer keys (see
-    ``_U_BITS``), one row per start slot.  A lookup for a batch is one
-    ``searchsorted`` per key array whatever slots the draws sit in, and
-    it lands where a search of the float row would for every u that
-    ``rng.random()`` returns.  One key array holds 2^11 slots, so a
-    period above 2048 splits each level over several.
+    Each level draws through one ``_InverseCdf`` row per start slot, so
+    a lookup for a batch is one ``searchsorted`` per key array whatever
+    slots the draws sit in.  One key array holds 2^11 slots, so a period
+    above 2048 splits each level over several.
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -376,8 +383,8 @@ class _DyadicSampler:
         rows = rows / rows.sum(axis=1, keepdims=True)
         cdf = np.cumsum(rows, axis=1)
         cdf[:, -1] = 1.0
-        keys, starts = _pack_keys(cdf.ravel(), np.full(self.m, b - a))
-        return _DyadicLevel(k0 + a, b - a, rows, keys, starts)
+        inv = _InverseCdf(cdf.ravel(), np.full(self.m, b - a), k0 + a)
+        return _DyadicLevel(k0 + a, b - a, rows, inv)
 
     def _extend(self) -> bool:
         """Build the next level; False if it would exceed the bin cap."""
@@ -419,9 +426,8 @@ class _DyadicSampler:
         rng: np.random.Generator,
     ) -> None:
         """Move the draws ``sel`` through one block of 2^k failures."""
-        lvl = self.levels[k]
         st = state[sel]
-        adv = lvl.k0 + _search(lvl.keys, lvl.starts, st, rng.random(len(sel)))
+        adv = self.levels[k].inv.draw(st, rng.random(len(sel)))
         out[sel] += adv
         state[sel] = (st + adv + (1 << k)) % self.m
 
@@ -448,8 +454,7 @@ class _DyadicSampler:
         out = 0
         r = 0
         for k in ks:
-            lvl = self.levels[k]
-            adv = lvl.k0 + _search_one(lvl.keys, lvl.starts, r, rng.random())
+            adv = self.levels[k].inv.draw_one(r, rng.random())
             out += adv
             r = (r + adv + (1 << k)) % self.m
         return out + self.m * int(rng.negative_binomial(x, self.fail))
@@ -524,8 +529,8 @@ def step_sampler(
 _TABLE_CAP = _KEY_ROWS
 
 
-class _UTable:
-    """Inverse-CDF rows of U(x) for every x up to a cap.
+def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
+    """Inverse-CDF rows of U(x) for x = 1 .. cap, row x - 1 for U(x).
 
     Built from one sweep of ``_failure_counts`` with a window floor of
     1e-18: the x-th failure lands on trial n exactly when the free
@@ -534,66 +539,43 @@ class _UTable:
     move back, so row x is one run of trials.  Rows are trimmed to
     relative mass 1 - 2e-15 and renormalized (within 3e-13 of the oracle
     in total variation, as measured up to x = 2048); the table backs
-    samplers only, never the oracle.
-
-    Row x - 1 of the packed ``keys`` holds the cdf of U(x) beyond its
-    first ``row_k0[x - 1]`` successes.  A draw is one search of the keys,
-    exact for every u = j / 2^53 that ``rng.random()`` returns (see
-    ``_U_BITS``), so it lands where a search of the float cdf row would.
-    The cap is at most ``_TABLE_CAP`` = 2^11 rows, which one key array
-    addresses.
+    samplers only, never the oracle.  The cap is at most ``_TABLE_CAP``
+    = 2^11 rows, which one key array addresses.
     """
-
-    def __init__(self, x_cap: int, row_k0: np.ndarray, keys: tuple[np.ndarray, ...], starts: np.ndarray):
-        self.x_cap = x_cap
-        self.row_k0 = row_k0
-        self.keys = keys
-        self.starts = starts
-
-    @staticmethod
-    def build(env: CookieEnvironment, x_cap: int) -> "_UTable":
-        try:
-            los, emitted = zip(*_failure_counts(env, x_cap, 1e-18, 1e-16))
-        except OracleHorizonError as exc:
-            raise InternalConsistencyError(f"sampler table build: {exc}") from exc
-        lo = np.array(los)
-        hi = lo + [len(e) for e in emitted]
-        flat = np.concatenate(emitted)
-        del emitted
-        # Trial t (from 0) emits failure f + 1 at flat[base[t] + f] for
-        # lo[t] <= f < hi[t].  Row f takes trials first[f] .. ends[f] - 1,
-        # success counts t - f.
-        base = np.cumsum(hi - lo) - hi
-        rows = np.arange(x_cap)
-        first = np.searchsorted(hi, rows, side="right")
-        ends = np.searchsorted(lo, rows, side="right")
-        row_k0 = first - rows
-        pieces: list[np.ndarray] = []
-        for f in range(x_cap):
-            row = flat[base[first[f] : ends[f]] + f]
-            total = row.sum()
-            cs = np.cumsum(row)
-            k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
-            k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
-            cdf = np.cumsum(row[k_lo:k_hi])
-            cdf /= cdf[-1]
-            cdf[-1] = 1.0
-            row_k0[f] += k_lo
-            pieces.append(cdf)
-        del flat
-        sizes = np.array([len(p) for p in pieces])
-        return _UTable(x_cap, row_k0, *_pack_keys(np.concatenate(pieces), sizes))
-
-    def draw(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One inverse-CDF draw per entry; xs must be within the cap."""
-        rows = xs - 1
-        return self.row_k0[rows] + _search(self.keys, self.starts, rows, u)
-
-    def draw_one(self, x: int, u: float) -> int:
-        return int(self.row_k0[x - 1]) + _search_one(self.keys, self.starts, x - 1, u)
+    try:
+        los, emitted = zip(*_failure_counts(env, cap, 1e-18, 1e-16))
+    except OracleHorizonError as exc:
+        raise InternalConsistencyError(f"sampler table build: {exc}") from exc
+    lo = np.array(los)
+    hi = lo + [len(e) for e in emitted]
+    flat = np.concatenate(emitted)
+    del emitted
+    # Trial t (from 0) emits failure f + 1 at flat[base[t] + f] for
+    # lo[t] <= f < hi[t].  Row f takes trials first[f] .. ends[f] - 1,
+    # success counts t - f.
+    base = np.cumsum(hi - lo) - hi
+    rows = np.arange(cap)
+    first = np.searchsorted(hi, rows, side="right")
+    ends = np.searchsorted(lo, rows, side="right")
+    row_k0 = first - rows
+    pieces: list[np.ndarray] = []
+    for f in range(cap):
+        row = flat[base[first[f] : ends[f]] + f]
+        total = row.sum()
+        cs = np.cumsum(row)
+        k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
+        k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
+        cdf = np.cumsum(row[k_lo:k_hi])
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        row_k0[f] += k_lo
+        pieces.append(cdf)
+    del flat
+    sizes = np.array([len(p) for p in pieces])
+    return _InverseCdf(np.concatenate(pieces), sizes, row_k0)
 
 
-_cached_table = lru_cache(maxsize=8)(_UTable.build)
+_cached_table = lru_cache(maxsize=8)(_chain_table)
 
 
 # ---------------------------------------------------------------------
@@ -651,16 +633,11 @@ def simulate_Z(
     _require_nondegenerate(eff)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    esc = _escape_threshold(eff, horizon)
-    draw = _samplers(eff)[0]
-    z = 1
-    for step in range(1, horizon + 1):
-        z = draw(z, rng)
-        if z == 0:
-            return ZRunSummary(direction, horizon, step, False)
-        if esc is not None and z >= esc:
-            return ZRunSummary(direction, horizon, None, True, escaped=True)
-    return ZRunSummary(direction, horizon, None, True)
+    one, many = _samplers(eff)
+    # One trial takes absorb's scalar finish: every draw is one(z, rng).
+    run = absorb(1, horizon, 1, _escape_threshold(eff, horizon), many, one, rng)
+    death = int(run.death_steps[0])
+    return ZRunSummary(direction, horizon, death if death > 0 else None, death < 0, run.escaped > 0)
 
 
 def simulate_Z_ensemble(
@@ -692,20 +669,21 @@ def simulate_Z_ensemble(
     if _constant_value(eff) is not None or (esc is not None and not eff.is_critical(CRITICAL_TOL)):
         return absorb(1, horizon, trials, esc, many, one, rng)
     table = _cached_table(eff, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc))
+    cap = len(table)
 
     def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(len(x))
-        small = x <= table.x_cap
+        small = x <= cap
         k = np.empty(len(x), dtype=np.int64)
         if np.any(small):
-            k[small] = table.draw(x[small], u[small])
+            k[small] = table.draw(x[small] - 1, u[small])
         if not np.all(small):
             big = ~small
             k[big] = many(x[big], rng)
         return k
 
     def step_one(z: int, rng: np.random.Generator) -> int:
-        return table.draw_one(z, rng.random()) if z <= table.x_cap else one(z, rng)
+        return table.draw_one(z - 1, rng.random()) if z <= cap else one(z, rng)
 
     return absorb(1, horizon, trials, esc, step, step_one, rng)
 
@@ -743,11 +721,15 @@ class LadderStats:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[str]]) -> "LadderStats":
+        if not rows:
+            raise ValueError("ladder CSV is empty")
         header = list(rows[0])
         if header != list(LadderStats.FIELDS):
             raise ValueError(f"unexpected ladder header {header!r}")
         entries = []
         for row in rows[1:]:
+            if len(row) != len(header):
+                raise ValueError(f"ladder row {list(row)!r} does not have {len(header)} fields")
             vals = dict(zip(header, row))
             entries.append(
                 LadderEntry(
@@ -764,12 +746,15 @@ class LadderStats:
         return LadderStats(tuple(entries))
 
 
+# Draws per sampler call, bounding the memory of one ladder point.
+_LADDER_BLOCK = 1 << 16
+
+
 def empirical_ladder(
     env: CookieEnvironment,
     xs: Sequence[int],
     trials: int,
     rng: np.random.Generator,
-    block: int = 1 << 16,
 ) -> LadderStats:
     """Monte Carlo estimates of rho(x), nu(x) and theta at each x.
 
@@ -793,7 +778,7 @@ def empirical_ladder(
         s1 = s2 = s3 = s4 = 0.0
         done = 0
         while done < trials:
-            b = min(block, trials - done)
+            b = min(_LADDER_BLOCK, trials - done)
             v = sample_U_many(env, x, b, rng).astype(float) - mu * x
             v2 = v * v
             s1 += float(v.sum())

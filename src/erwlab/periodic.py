@@ -205,11 +205,6 @@ def _exact_pass(env: CookieEnvironment) -> _ExactPass:
     )
 
 
-def prefix_drifts(env: CookieEnvironment) -> tuple[float, ...]:
-    """Partial sums of (2*p_i - 1) over the period prefix, i = 1..M."""
-    return tuple(float(d) for d in _exact_pass(env).delta)
-
-
 def rho_periodic(env: CookieEnvironment) -> float:
     """Limiting centered drift of the crossing chain (critical case).
 

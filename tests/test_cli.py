@@ -314,6 +314,20 @@ def test_criterion_round_trip_through_ladder_csv(capsys, tmp_path):
     assert all(m["above_upper"] > 0 for m in r["margins"])
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "x,trials,rho_hat,nu_hat,theta_hat,se_rho,se_nu,se_theta\n100,1000,0.5\n"],
+    ids=["empty", "short-row"],
+)
+def test_malformed_ladder_csv_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "ladder.csv"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["criterion", "--ladder-csv", str(path), "--mu", "1.0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("erwlab: error: ladder")
+
+
 # ---------------------------------------------------------------------
 # option resolution
 # ---------------------------------------------------------------------

@@ -20,7 +20,6 @@ from erwlab.criterion import (
     band_bounds,
     classify_chain,
     lyapunov_drift,
-    resolve_alpha,
 )
 from erwlab.environments import make_periodic
 from erwlab.kks import LadderEntry, LadderStats, step_sampler
@@ -74,15 +73,6 @@ def test_lower_band_is_below_upper_band(x):
     assert lower < upper
     # both bands approach 1 from their side of the 1/ln x bump
     assert upper > 1.0
-
-
-def test_custom_alpha_schedule_is_honored():
-    lower, upper = band_bounds(100, alpha=lambda x: 0.0)
-    lx = math.log(100)
-    assert lower == pytest.approx(1.0 + 1.0 / lx, abs=1e-12)
-    assert upper == pytest.approx(1.0 + 2.0 / lx, abs=1e-12)
-    with pytest.raises(ValueError):
-        resolve_alpha("sqrt")
 
 
 # ---------------------------------------------------------------------

@@ -29,7 +29,6 @@ from erwlab.periodic import (
     half_half_threshold,
     mu_periodic,
     nu_periodic,
-    prefix_drifts,
     rho_periodic,
     slot_runs,
     theta_periodic,
@@ -325,4 +324,4 @@ def test_classification_is_antisymmetric_under_mirror(values):
 
 def test_prefix_drifts_partial_sums():
     env = make_periodic((0.8, 0.3))
-    assert prefix_drifts(env) == pytest.approx((0.6, 0.2), abs=1e-12)
+    assert diagnostics(env).delta == pytest.approx((0.6, 0.2), abs=1e-12)

@@ -19,13 +19,11 @@ from erwlab.kks import (
     _TABLE_CAP,
     _U_BITS,
     _U_SCALE,
-    _UTable,
+    _InverseCdf,
     _cached_table,
+    _chain_table,
     _dyadic,
-    _pack_keys,
     _prefix_tail_draws,
-    _search,
-    _search_one,
     asymptotic_mu,
     empirical_ladder,
     exact_U_distribution,
@@ -120,7 +118,7 @@ def test_period_above_one_key_array_matches_dp():
     x = 40
     rng = substream(S, TAG_GENERAL, 30)
     sampler = _dyadic(env)
-    assert len(sampler.levels[0].keys) == 2
+    assert len(sampler.levels[0].inv.keys) == 2
     draws = sample_U_many(env, x, 200_000, rng)
     assert abs(_chi_square_z(env, x, draws)) < 4.0
     # sample_U checks the whole pile on every call; draw_one skips that.
@@ -155,18 +153,20 @@ def _uniforms_around(row):
 @pytest.mark.parametrize("n_rows", [2048, 2053], ids=["one-key-array", "two-key-arrays"])
 def test_packed_search_matches_row_searchsorted(n_rows):
     rows = [_CDF_ROWS[r % len(_CDF_ROWS)] for r in range(n_rows)]
-    keys, starts = _pack_keys(np.concatenate(rows), np.array([len(r) for r in rows]))
-    assert len(keys) == -(-n_rows // 2048)
+    k0 = 5 * np.arange(n_rows) - 7000  # a nonzero offset per row
+    inv = _InverseCdf(np.concatenate(rows), np.array([len(r) for r in rows]), k0)
+    assert len(inv.keys) == -(-n_rows // 2048)
+    assert len(inv) == n_rows
     checked = list(range(8)) + list(range(2040, n_rows))
     qr, qu, want = [], [], []
     for r in checked:
         u = _uniforms_around(rows[r])
         qr += [r] * len(u)
         qu += list(u)
-        want += list(np.searchsorted(rows[r], u, side="right"))
-    got = _search(keys, starts, np.array(qr), np.array(qu))
+        want += list(k0[r] + np.searchsorted(rows[r], u, side="right"))
+    got = inv.draw(np.array(qr), np.array(qu))
     assert got.tolist() == want
-    assert [_search_one(keys, starts, r, u) for r, u in zip(qr, qu)] == want
+    assert [inv.draw_one(r, u) for r, u in zip(qr, qu)] == want
 
 
 @pytest.mark.parametrize(
@@ -179,9 +179,9 @@ def test_table_draws_match_dp(env):
     table = _cached_table(env, _TABLE_CAP)
     for x in (1, 7, 500, _TABLE_CAP):
         rng = substream(S, TAG_GENERAL, 31, x)
-        draws = table.draw(np.full(200_000, x), rng.random(200_000))
+        draws = table.draw(np.full(200_000, x - 1), rng.random(200_000))
         assert abs(_chi_square_z(env, x, draws)) < 4.0
-        singles = np.array([table.draw_one(x, u) for u in rng.random(20_000)])
+        singles = np.array([table.draw_one(x - 1, u) for u in rng.random(20_000)])
         assert abs(_chi_square_z(env, x, singles)) < 4.0
 
 
@@ -190,8 +190,9 @@ def _table_row_law(table, x):
     r = x - 1
     keys = table.keys[r // _KEY_ROWS]
     row = keys[(keys >> np.uint64(_U_BITS)) == r % _KEY_ROWS]
+    start = int(keys.searchsorted(np.uint64((r % _KEY_ROWS) << _U_BITS)))  # row r's first key
     cdf = (row & np.uint64((1 << _U_BITS) - 1)).astype(float) / _U_SCALE
-    return int(table.row_k0[r]), np.diff(np.concatenate(([0.0], cdf, [1.0])))
+    return int(table.base[r]) + start, np.diff(np.concatenate(([0.0], cdf, [1.0])))
 
 
 @pytest.mark.parametrize(
@@ -204,7 +205,7 @@ def test_table_rows_match_the_oracle(env, cap):
     # U(274) on (0.99, 0.98) averages about 18,000 successes, so this case
     # checks that rows have no width limit.  (The chain itself draws this
     # supercritical pile from its exact samplers, with no table.)
-    table = _UTable.build(env, cap)
+    table = _chain_table(env, cap)
     for x in (x for x in (1, 7, 500, cap) if x <= cap):
         k0, pmf = _table_row_law(table, x)
         exact = exact_U_distribution(env, x, tail_eps=1e-14)
@@ -222,7 +223,7 @@ def test_table_build_past_its_trial_cap_is_an_internal_error(monkeypatch):
     # the program, not an oracle horizon the user can widen.
     monkeypatch.setattr(kks, "_horizon_cap", lambda env, x: 40)
     with pytest.raises(InternalConsistencyError):
-        _UTable.build(make_periodic((0.9, 0.1)), 64)
+        _chain_table(make_periodic((0.9, 0.1)), 64)
 
 
 def test_reference_sampler_frequencies_match_dp():
