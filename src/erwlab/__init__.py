@@ -47,7 +47,6 @@ from .kks import (
     exact_moments,
     sample_U,
     sample_U_many,
-    simulate_Z,
     simulate_Z_ensemble,
     step_sampler,
 )
@@ -61,7 +60,6 @@ from .periodic import (
     failure_chain,
     half_half_threshold,
     mu_periodic,
-    theta_periodic,
 )
 from .seeding import DEFAULT_SEED, default_seed, substream
 from .walk import (
@@ -121,11 +119,9 @@ __all__ = [
     "run_walk",
     "sample_U",
     "sample_U_many",
-    "simulate_Z",
     "simulate_Z_ensemble",
     "simulate_bpm",
     "step_sampler",
     "substream",
-    "theta_periodic",
     "__version__",
 ]

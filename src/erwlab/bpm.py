@@ -236,7 +236,7 @@ def escape_threshold(
     if mu < 1.0 - _MU_ONE_TOL:
         return None
     diffusive = int(math.ceil((56.0 * vr + 2.0 * down) * horizon)) + 64
-    if mu > 1.0 + 1e-9:
+    if mu > 1.0 + _MU_ONE_TOL:
         chernoff = int(math.ceil(100.0 * vr / ((mu - 1.0) ** 2))) + 64
         return min(chernoff, diffusive)
     return diffusive

@@ -80,6 +80,8 @@ def band_bounds(x: float) -> tuple[float, float]:
 def classify_chain(evidence: CriterionInput) -> Verdict:
     """Transient / Recurrent / Inconclusive from drift evidence."""
     mu, mu_se = evidence.mu, evidence.mu_se
+    if not (math.isfinite(mu) and math.isfinite(mu_se)):
+        raise ValueError("mu and mu_se must be finite")
     if mu_se < 0.0:
         raise ValueError("mu_se must be nonnegative")
     if mu - 3.0 * mu_se > 1.0:

@@ -89,6 +89,12 @@ class CookieEnvironment:
             if self.kind is EnvKind.BOUNDED and t != 0.5:
                 raise ValueError("bounded environment must have tail 1/2")
 
+    def __hash__(self) -> int:
+        # Equal piles have equal floats, so this agrees with ==; hashing
+        # the exact fractions too would cost milliseconds on long piles,
+        # paid by every cached lookup keyed on the pile.
+        return hash((self.kind, self.params, self.tail_value))
+
     # -- basic views ---------------------------------------------------
 
     @property
@@ -171,13 +177,13 @@ class CookieEnvironment:
             return Fraction(1, 2)
         return None
 
-    def is_critical(self, tol: float = 1e-12) -> bool:
+    def is_critical(self) -> bool:
         """True when the mean cookie equals 1/2 (exactly when rationals
-        are available, otherwise within ``tol``)."""
+        are available, otherwise within 1e-12)."""
         exact = self.exact_mean_cookie()
         if exact is not None:
             return exact == Fraction(1, 2)
-        return abs(self.mean_cookie() - 0.5) <= tol
+        return abs(self.mean_cookie() - 0.5) <= 1e-12
 
 
 # -- constructors ------------------------------------------------------

@@ -11,8 +11,8 @@ failure when cookies are consumed in pile order.  This module provides
   prefix plus negative binomial for piles with a constant tail); the
   dyadic levels and the chain's table draw through ``_InverseCdf``,
   packed integer keys searched in one call per key array,
-* single-run simulation of the chain, and ensembles of it on
-  ``bpm.absorb``, the absorbing-chain engine shared with the population,
+* ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
+  shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
 
 Conventions: U(0) = 1, and the simulated chain treats 0 as absorbing so
@@ -30,7 +30,7 @@ import numpy as np
 
 from .bpm import ZEnsembleResult, absorb, escape_threshold
 from .environments import CookieEnvironment, EnvKind
-from .periodic import CRITICAL_TOL, InternalConsistencyError, mu_periodic, slot_runs
+from .periodic import InternalConsistencyError, slot_runs
 from .seeding import TAG_ZSIM, default_seed, substream
 
 # Mass below this per-row threshold is trimmed from sampler tables; the
@@ -40,20 +40,8 @@ _ROW_TAIL = 1e-15
 
 def asymptotic_mu(env: CookieEnvironment) -> float:
     """Limiting mean of U(x)/x: pbar/(1-pbar) from the recurring part."""
-    if env.kind is EnvKind.PERIODIC:
-        return mu_periodic(env)
-    t = float(env.tail_value)  # type: ignore[arg-type]
-    if t >= 1.0:
-        return math.inf
-    return t / (1.0 - t)
-
-
-def _diffusion_scale(env: CookieEnvironment) -> float:
-    """8 * mean of p(1-p) over the recurring part of the pile."""
-    if env.kind is EnvKind.PERIODIC:
-        return 8.0 * math.fsum(p * (1.0 - p) for p in env.params) / env.period
-    t = float(env.tail_value)  # type: ignore[arg-type]
-    return 8.0 * t * (1.0 - t)
+    pbar = env.mean_cookie()
+    return math.inf if pbar >= 1.0 else pbar / (1.0 - pbar)
 
 
 def _require_nondegenerate(env: CookieEnvironment) -> None:
@@ -461,26 +449,15 @@ class _DyadicSampler:
 
 
 @lru_cache(maxsize=4)
-def _dyadic(env: CookieEnvironment) -> _DyadicSampler:
-    return _DyadicSampler(env)
-
-
-def sample_U_many(
-    env: CookieEnvironment, x: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized exact draws of U(x)."""
-    _require_nondegenerate(env)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return np.ones(size, dtype=np.int64)
-    return _samplers(env)[1](np.full(size, x, dtype=np.int64), rng)
-
-
 def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
     """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw and
-    ``many(xs, rng)`` for one draw per entry of an array.  The route is
-    picked here, once, because the pile checks cost O(M)."""
+    ``many(xs, rng)`` for one draw per entry of an array.
+
+    The one place that checks a pile and picks its route: the checks
+    cost O(M), so they run once per pile, and a periodic pile's dyadic
+    levels are kept with its samplers.
+    """
+    _require_nondegenerate(env)
     const = _constant_value(env)
     if const is not None:
         p = 1.0 - const
@@ -489,7 +466,7 @@ def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
             lambda xs, rng: rng.negative_binomial(xs, p, len(xs)).astype(np.int64),
         )
     if env.kind is EnvKind.PERIODIC:
-        dy = _dyadic(env)
+        dy = _DyadicSampler(env)
         return dy.draw_one, dy.draw
     return (
         lambda x, rng: int(_prefix_tail_draws(env, x, 1, rng)[0]),
@@ -497,21 +474,33 @@ def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
     )
 
 
+def sample_U_many(
+    env: CookieEnvironment, x: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorized exact draws of U(x)."""
+    many = _samplers(env)[1]
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return np.ones(size, dtype=np.int64)
+    return many(np.full(size, x, dtype=np.int64), rng)
+
+
 def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
     """One exact draw of U(x)."""
-    _require_nondegenerate(env)
+    one = _samplers(env)[0]
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1
-    return _samplers(env)[0](x, rng)
+    return one(x, rng)
 
 
 def step_sampler(
     env: CookieEnvironment,
 ) -> Callable[[int, int, np.random.Generator], np.ndarray]:
     """Adapter exposing the pile as a generic chain-step sampler."""
-    _require_nondegenerate(env)
+    _samplers(env)  # checks the pile now, not at the first draw
 
     def draw(x: int, size: int, rng: np.random.Generator) -> np.ndarray:
         return sample_U_many(env, x, size, rng)
@@ -583,17 +572,6 @@ _cached_table = lru_cache(maxsize=8)(_chain_table)
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZRunSummary:
-    """Outcome of one crossing-chain run."""
-
-    direction: str
-    horizon: int
-    hit_zero_step: Optional[int]
-    survived: bool
-    escaped: bool = False
-
-
 def _directed(env: CookieEnvironment, direction: str) -> CookieEnvironment:
     if direction == "right":
         return env
@@ -603,9 +581,10 @@ def _directed(env: CookieEnvironment, direction: str) -> CookieEnvironment:
 
 
 def _variance_rate(env: CookieEnvironment) -> float:
-    """Generous upper bound on Var(U(z)) / z for large z."""
+    """Generous upper bound on Var(U(z)) / z for large z; with mu >= 1
+    it is at least 4, above the diffusion coefficient 8 * mean p(1-p)."""
     mu = max(asymptotic_mu(env), 1.0)
-    return max(_diffusion_scale(env), 2.0 * mu * (1.0 + mu), 0.5)
+    return 2.0 * mu * (1.0 + mu)
 
 
 def _escape_threshold(env: CookieEnvironment, horizon: int) -> Optional[int]:
@@ -620,24 +599,6 @@ def _escape_threshold(env: CookieEnvironment, horizon: int) -> Optional[int]:
         delta = float(sum(2.0 * p - 1.0 for p in env.params))
         down = max(0.0, -delta)
     return escape_threshold(asymptotic_mu(env), _variance_rate(env), down, horizon)
-
-
-def simulate_Z(
-    env: CookieEnvironment,
-    direction: str,
-    horizon: int,
-    rng: np.random.Generator,
-) -> ZRunSummary:
-    """One crossing-chain run from Z_0 = 1 with 0 absorbing."""
-    eff = _directed(env, direction)
-    _require_nondegenerate(eff)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    one, many = _samplers(eff)
-    # One trial takes absorb's scalar finish: every draw is one(z, rng).
-    run = absorb(1, horizon, 1, _escape_threshold(eff, horizon), many, one, rng)
-    death = int(run.death_steps[0])
-    return ZRunSummary(direction, horizon, death if death > 0 else None, death < 0, run.escaped > 0)
 
 
 def simulate_Z_ensemble(
@@ -658,15 +619,14 @@ def simulate_Z_ensemble(
     master_seed).
     """
     eff = _directed(env, direction)
-    _require_nondegenerate(eff)
+    one, many = _samplers(eff)
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
     if master_seed is None:
         master_seed = default_seed()
     rng = substream(master_seed, TAG_ZSIM)
     esc = _escape_threshold(eff, horizon)
-    one, many = _samplers(eff)
-    if _constant_value(eff) is not None or (esc is not None and not eff.is_critical(CRITICAL_TOL)):
+    if _constant_value(eff) is not None or (esc is not None and not eff.is_critical()):
         return absorb(1, horizon, trials, esc, many, one, rng)
     table = _cached_table(eff, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc))
     cap = len(table)
@@ -730,19 +690,11 @@ class LadderStats:
         for row in rows[1:]:
             if len(row) != len(header):
                 raise ValueError(f"ladder row {list(row)!r} does not have {len(header)} fields")
-            vals = dict(zip(header, row))
-            entries.append(
-                LadderEntry(
-                    x=int(vals["x"]),
-                    trials=int(vals["trials"]),
-                    rho_hat=float(vals["rho_hat"]),
-                    nu_hat=float(vals["nu_hat"]),
-                    theta_hat=float(vals["theta_hat"]),
-                    se_rho=float(vals["se_rho"]),
-                    se_nu=float(vals["se_nu"]),
-                    se_theta=float(vals["se_theta"]),
-                )
-            )
+            # Fields come in FIELDS order: two counts, then six estimates.
+            estimates = [float(v) for v in row[2:]]
+            if not all(map(math.isfinite, estimates)):
+                raise ValueError(f"ladder row {list(row)!r} holds a non-finite value")
+            entries.append(LadderEntry(int(row[0]), int(row[1]), *estimates))
         return LadderStats(tuple(entries))
 
 
@@ -762,7 +714,7 @@ def empirical_ladder(
     the drift and diffusion errors through a first-order delta method
     with their sampled covariance.
     """
-    _require_nondegenerate(env)
+    _samplers(env)  # checks the pile before the x values
     xs = list(xs)
     if not xs:
         raise ValueError("ladder needs at least one x value")

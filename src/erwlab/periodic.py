@@ -26,12 +26,6 @@ import numpy as np
 
 from .environments import CookieEnvironment, EnvKind
 
-CRITICAL_TOL = 1e-12
-
-# Above this period length, cyclic cookie products are accumulated in
-# log space to avoid gradual underflow.
-_LOG_SPACE_PERIOD = 64
-
 
 class Classification(enum.Enum):
     RECURRENT = "Recurrent"
@@ -92,12 +86,7 @@ def slot_runs(params: tuple[float, ...]) -> tuple[np.ndarray, float]:
     # ahead[j, d] = p_{j+d}; prods[j, d] is the product of d of them.
     ahead = p[(slots[:, None] + slots[:-1]) % m]
     prods = np.ones((m, m))
-    if m > _LOG_SPACE_PERIOD:
-        np.log(ahead, out=ahead)
-        np.cumsum(ahead, axis=1, out=ahead)
-        np.exp(ahead, out=prods[:, 1:])
-    else:
-        np.cumprod(ahead, axis=1, out=prods[:, 1:])
+    np.cumprod(ahead, axis=1, out=prods[:, 1:])
     runs = prods * (1.0 - p)[(slots[:, None] + slots) % m]
     return runs, min(float(runs[0].sum()), 1.0)
 
@@ -205,40 +194,6 @@ def _exact_pass(env: CookieEnvironment) -> _ExactPass:
     )
 
 
-def rho_periodic(env: CookieEnvironment) -> float:
-    """Limiting centered drift of the crossing chain (critical case).
-
-    Equals (2/M) * sum_i (1 - p_i) * delta_i with delta_i the prefix
-    drift sums.  Requires an elliptic periodic environment whose mean
-    cookie is 1/2.
-    """
-    _require_critical(env)
-    return float(_exact_pass(env).rho)
-
-
-def nu_periodic(env: CookieEnvironment) -> float:
-    """Limiting diffusion coefficient 8*A, A = mean of p_i(1-p_i)."""
-    _require_periodic(env)
-    _require_elliptic(env)
-    return float(_exact_pass(env).nu)
-
-
-def theta_periodic(env: CookieEnvironment) -> float:
-    """Ratio 2*rho/nu deciding the critical classification.
-
-    Identical to sum_i delta_i (1 - p_i) / (2 * sum_j p_j (1 - p_j)).
-    """
-    _require_critical(env)
-    return float(_exact_pass(env).theta_right)
-
-
-def _require_critical(env: CookieEnvironment) -> None:
-    _require_periodic(env)
-    _require_elliptic(env)
-    if not env.is_critical(CRITICAL_TOL):
-        raise ValueError("operation requires mean cookie exactly 1/2")
-
-
 def _compare_with_one(right: Union[Fraction, float], left: Union[Fraction, float]) -> Classification:
     """Right transient when ``right`` exceeds 1, left transient when
     ``left`` does, otherwise recurrent (1 itself included)."""
@@ -251,7 +206,14 @@ def _compare_with_one(right: Union[Fraction, float], left: Union[Fraction, float
 
 @dataclass(frozen=True)
 class PeriodicDiagnostics:
-    """Everything the classifier looks at, in one bundle."""
+    """Everything the classifier looks at, in one bundle.
+
+    ``rho`` = (2/M) sum_i (1 - p_i) delta_i is the crossing chain's
+    limiting centered drift, ``nu`` = 8 * mean of p_i (1 - p_i) its
+    diffusion coefficient, and ``theta_right`` = 2 rho / nu;
+    ``theta_left`` is the mirrored pile's theta.  ``rho`` and both thetas
+    are None off criticality (mean cookie not 1/2).
+    """
 
     p_bar: float
     delta: tuple[float, ...]
@@ -280,7 +242,7 @@ def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     _require_periodic(env)
     _require_elliptic(env)
     exact = _exact_pass(env)
-    critical = env.is_critical(CRITICAL_TOL)
+    critical = env.is_critical()
     if critical:
         label = _compare_with_one(exact.theta_right, exact.theta_left)
     elif env.mean_cookie() > 0.5:

@@ -34,11 +34,10 @@ from erwlab.kks import (
 from erwlab.periodic import (
     Classification,
     classify_periodic,
+    diagnostics,
     failure_chain,
     half_half_threshold,
     mu_periodic,
-    nu_periodic,
-    rho_periodic,
 )
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LYAPUNOV, substream
 from erwlab.walk import ensemble_walks
@@ -120,7 +119,7 @@ def test_closed_form_drift_matches_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for env in CRITICAL_ENVS:
-        rho = rho_periodic(env)
+        rho = diagnostics(env).rho
         mean = exact_U_distribution(env, 200, tail_eps=1e-13).mean()
         err = abs(rho - (mean - 200.0))
         worst = max(worst, err)
@@ -137,7 +136,7 @@ def test_closed_form_diffusion_matches_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for env in CRITICAL_ENVS:
-        nu = nu_periodic(env)
+        nu = diagnostics(env).nu
         nu_x = exact_moments(env, 10_000).nu_x
         rel = abs(nu_x - nu) / nu
         worst = max(worst, rel)

@@ -328,6 +328,25 @@ def test_malformed_ladder_csv_is_an_error(capsys, tmp_path, text):
     assert err.startswith("erwlab: error: ladder")
 
 
+@pytest.mark.parametrize(
+    "theta,flags",
+    [("nan", ["--mu", "1.0"]), ("inf", ["--mu", "1.0"]),
+     ("2.0", ["--mu", "nan"]), ("2.0", ["--mu", "1.0", "--mu-se", "nan"])],
+    ids=["nan-theta", "inf-theta", "nan-mu", "nan-mu-se"],
+)
+def test_non_finite_criterion_input_is_an_error(capsys, tmp_path, theta, flags):
+    # A NaN would reach the payload as a bare NaN, which is not JSON.
+    path = tmp_path / "ladder.csv"
+    path.write_text(
+        "x,trials,rho_hat,nu_hat,theta_hat,se_rho,se_nu,se_theta\n"
+        f"100,1000,0.5,1.0,{theta},0.1,0.1,0.1\n"
+    )
+    code, out, err = _run(capsys, ["criterion", "--ladder-csv", str(path), *flags])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err or "must be finite" in err
+
+
 # ---------------------------------------------------------------------
 # option resolution
 # ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ from erwlab.criterion import (
 )
 from erwlab.environments import make_periodic
 from erwlab.kks import LadderEntry, LadderStats, step_sampler
-from erwlab.periodic import Classification, classify_periodic, theta_periodic
+from erwlab.periodic import Classification, classify_periodic, diagnostics
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
 
 S = DEFAULT_SEED
@@ -140,7 +140,7 @@ def test_agrees_with_closed_form_on_clear_cases():
     # must reproduce the closed-form answer when theta is far from 1
     for params in [(0.9, 0.9, 0.1, 0.1), (0.9, 0.1)]:
         env = make_periodic(params)
-        theta = theta_periodic(env)
+        theta = diagnostics(env).theta_right
         assert abs(theta - 1.0) > 0.1
         xs = (10**8, 10**10, 10**12)
         ladder = _ladder([(x, theta, 0.0) for x in xs])

@@ -87,6 +87,16 @@ def test_criticality_uses_exact_arithmetic_for_fraction_literals():
     assert not parse_env("periodic:0.9,0.2").is_critical()
 
 
+def test_equal_piles_hash_alike():
+    # Caches key on the pile, so equal piles must hash alike; a pile of
+    # floats and its exact twin share floats but are not equal.
+    exact = parse_env("tail:9/10,1/5@1/2")
+    assert exact == parse_env("tail:0.9,0.2@0.5")
+    assert hash(exact) == hash(parse_env("tail:0.9,0.2@0.5"))
+    floats = make_custom_tail((0.9, 0.2), 0.5)
+    assert floats != exact and hash(floats) == hash(exact)
+
+
 def test_parse_and_format_round_trip():
     for text in (
         "periodic:0.9,0.1",

@@ -28,10 +28,7 @@ from erwlab.periodic import (
     failure_chain,
     half_half_threshold,
     mu_periodic,
-    nu_periodic,
-    rho_periodic,
     slot_runs,
-    theta_periodic,
 )
 from reference_routes import power_iteration_stationary
 
@@ -138,20 +135,20 @@ def test_mu_equals_stationary_mean_run_weight():
 
 
 def test_frozen_constants_for_reference_envs():
-    env = make_periodic((0.9, 0.1))
-    assert rho_periodic(env) == pytest.approx(0.08, abs=1e-12)
-    assert nu_periodic(env) == pytest.approx(0.72, abs=1e-12)
-    assert theta_periodic(env) == pytest.approx(2.0 / 9.0, abs=1e-12)
+    d = diagnostics(make_periodic((0.9, 0.1)))
+    assert d.rho == pytest.approx(0.08, abs=1e-12)
+    assert d.nu == pytest.approx(0.72, abs=1e-12)
+    assert d.theta_right == pytest.approx(2.0 / 9.0, abs=1e-12)
 
-    env = make_periodic((0.7, 0.3))
-    assert rho_periodic(env) == pytest.approx(0.12, abs=1e-12)
-    assert nu_periodic(env) == pytest.approx(1.68, abs=1e-12)
-    assert theta_periodic(env) == pytest.approx(1.0 / 7.0, abs=1e-12)
+    d = diagnostics(make_periodic((0.7, 0.3)))
+    assert d.rho == pytest.approx(0.12, abs=1e-12)
+    assert d.nu == pytest.approx(1.68, abs=1e-12)
+    assert d.theta_right == pytest.approx(1.0 / 7.0, abs=1e-12)
 
-    env4 = make_periodic((0.9, 0.9, 0.1, 0.1))
-    assert rho_periodic(env4) == pytest.approx(0.48, abs=1e-12)
-    assert nu_periodic(env4) == pytest.approx(0.72, abs=1e-12)
-    assert theta_periodic(env4) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    d4 = diagnostics(make_periodic((0.9, 0.9, 0.1, 0.1)))
+    assert d4.rho == pytest.approx(0.48, abs=1e-12)
+    assert d4.nu == pytest.approx(0.72, abs=1e-12)
+    assert d4.theta_right == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_rho_changes_by_one_minus_two_p_under_shift():
@@ -159,8 +156,8 @@ def test_rho_changes_by_one_minus_two_p_under_shift():
     # drift of the dropped cookie
     env = make_periodic((0.8, 0.3, 0.4, 0.5))
     for j in range(1, env.period):
-        lhs = rho_periodic(env.shift(j + 1))
-        rhs = rho_periodic(env.shift(j)) + 1.0 - 2.0 * env.params[j - 1]
+        lhs = diagnostics(env.shift(j + 1)).rho
+        rhs = diagnostics(env.shift(j)).rho + 1.0 - 2.0 * env.params[j - 1]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -169,18 +166,18 @@ def test_stationary_average_of_shifted_drifts_vanishes():
     chain = failure_chain(env)
     acc = 0.0
     for j in range(env.period):
-        acc += float(chain.stationary[j]) * rho_periodic(env.shift(j + 1))
+        acc += float(chain.stationary[j]) * diagnostics(env.shift(j + 1)).rho
     assert acc == pytest.approx(0.0, abs=1e-10)
 
 
 def test_theta_requires_criticality():
-    with pytest.raises(ValueError):
-        theta_periodic(make_periodic((0.9, 0.2)))
+    d = diagnostics(make_periodic((0.9, 0.2)))
+    assert d.rho is None and d.theta_right is None and d.theta_left is None
 
 
 def test_mirror_theta_of_reference_env():
     env = make_periodic((0.9, 0.1))
-    assert theta_periodic(env.mirror()) == pytest.approx(-2.0, abs=1e-12)
+    assert diagnostics(env.mirror()).theta_right == pytest.approx(-2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------

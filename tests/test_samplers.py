@@ -19,10 +19,10 @@ from erwlab.kks import (
     _TABLE_CAP,
     _U_BITS,
     _U_SCALE,
+    _DyadicSampler,
     _InverseCdf,
     _cached_table,
     _chain_table,
-    _dyadic,
     _prefix_tail_draws,
     asymptotic_mu,
     empirical_ladder,
@@ -93,8 +93,9 @@ def test_full_period_product_near_one_keeps_levels_narrow():
     env = make_periodic((0.9999999, 0.9999998))
     x = 1024
     rng = substream(S, TAG_GENERAL, 28)
-    draws = sample_U_many(env, x, 1_000, rng)
-    levels = _dyadic(env).levels
+    sampler = _DyadicSampler(env)
+    draws = sampler.draw(np.full(1_000, x), rng)
+    levels = sampler.levels
     assert all(lvl.width <= (1 << k) + 1 for k, lvl in enumerate(levels))
     assert draws.mean() / x == pytest.approx(asymptotic_mu(env), rel=5e-3)
 
@@ -103,9 +104,10 @@ def test_long_period_draws_repeat_the_top_level():
     env = make_periodic(tuple(np.linspace(0.2, 0.8, 170)))
     x = 200
     rng = substream(S, TAG_GENERAL, 29)
-    draws = sample_U_many(env, x, 200_000, rng)
+    sampler = _DyadicSampler(env)
+    draws = sampler.draw(np.full(200_000, x), rng)
     # the level cap stops short of x, so the draws take whole top blocks
-    assert len(_dyadic(env).levels) < x.bit_length()
+    assert len(sampler.levels) < x.bit_length()
     assert abs(_chi_square_z(env, x, draws)) < 4.0
     singles = np.array([sample_U(env, x, rng) for _ in range(20_000)])
     assert abs(_chi_square_z(env, x, singles)) < 4.0
@@ -117,13 +119,21 @@ def test_period_above_one_key_array_matches_dp():
     env = make_periodic((0.99, 0.98) * 1024 + (0.99,))
     x = 40
     rng = substream(S, TAG_GENERAL, 30)
-    sampler = _dyadic(env)
-    assert len(sampler.levels[0].inv.keys) == 2
+    assert len(_DyadicSampler(env).levels[0].inv.keys) == 2
     draws = sample_U_many(env, x, 200_000, rng)
     assert abs(_chi_square_z(env, x, draws)) < 4.0
-    # sample_U checks the whole pile on every call; draw_one skips that.
-    singles = np.array([sampler.draw_one(x, rng) for _ in range(20_000)])
+    singles = np.array([sample_U(env, x, rng) for _ in range(20_000)])
     assert abs(_chi_square_z(env, x, singles)) < 4.0
+
+
+def test_long_period_with_a_zero_cookie_matches_dp():
+    # Past 64 slots, too, a run through the 0 cookie has chance exactly
+    # 0, and building the slot-run law must not warn (warnings are errors).
+    env = make_periodic((0.0,) + (0.6,) * 69)
+    rng = substream(S, TAG_GENERAL, 33)
+    assert sample_U_many(env, 5, 3, rng).shape == (3,)
+    draws = sample_U_many(env, 5, 50_000, rng)
+    assert abs(_chi_square_z(env, 5, draws)) < 4.0
 
 
 # ---------------------------------------------------------------------

@@ -14,13 +14,11 @@ import pytest
 from erwlab.bpm import ZEnsembleResult, absorb
 from erwlab.environments import make_periodic, parse_env
 from erwlab.kks import (
-    ZRunSummary,
     _cached_table,
     _directed,
     _escape_threshold,
     _samplers,
     sample_U,
-    simulate_Z,
     simulate_Z_ensemble,
 )
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_ZSIM, substream
@@ -136,15 +134,22 @@ def test_death_steps_fields_are_consistent():
     assert res.survivors == int(np.sum(d < 0))
 
 
+def _single_run(env, horizon, rng):
+    """One rightward run of ``absorb`` over the pile's exact samplers:
+    (absorption step or -1, escapes)."""
+    one, many = _samplers(env)
+    run = absorb(1, horizon, 1, _escape_threshold(env, horizon), many, one, rng)
+    return int(run.death_steps[0]), run.escaped
+
+
 def test_scalar_run_agrees_with_ensemble_statistics():
     env = make_periodic((0.7, 0.7))
     rng = substream(S, TAG_GENERAL, 30)
-    outcomes = [simulate_Z(env, "right", 200, rng) for _ in range(400)]
-    freq = sum(o.survived for o in outcomes) / len(outcomes)
+    outcomes = [_single_run(env, 200, rng) for _ in range(400)]
+    freq = sum(death < 0 for death, _ in outcomes) / len(outcomes)
     assert freq == pytest.approx(4.0 / 7.0, abs=0.08)
-    assert any(o.escaped for o in outcomes)
-    dead = [o for o in outcomes if not o.survived]
-    assert all(o.hit_zero_step is not None and o.hit_zero_step >= 1 for o in dead)
+    assert any(escaped for _, escaped in outcomes)
+    assert all(death == -1 or death >= 1 for death, _ in outcomes)
 
 
 def _sample_U_run(env, horizon, rng):
@@ -154,10 +159,10 @@ def _sample_U_run(env, horizon, rng):
     for step in range(1, horizon + 1):
         z = sample_U(env, z, rng)
         if z == 0:
-            return ZRunSummary("right", horizon, step, False)
+            return step, 0
         if esc is not None and z >= esc:
-            return ZRunSummary("right", horizon, None, True, escaped=True)
-    return ZRunSummary("right", horizon, None, True)
+            return -1, 1
+    return -1, 0
 
 
 @pytest.mark.parametrize(
@@ -172,21 +177,18 @@ def _sample_U_run(env, horizon, rng):
     ids=["periodic", "constant", "bounded", "tail", "period-2049"],
 )
 def test_scalar_run_is_a_loop_of_sample_U(env):
-    # simulate_Z picks its draw route once per run; the draws must be
-    # those of sample_U, call for call, on the same substream.
+    # One trial takes absorb's scalar finish; its draws must be those of
+    # sample_U, call for call, on the same substream.
     a = substream(S, TAG_GENERAL, 32)
     b = substream(S, TAG_GENERAL, 32)
-    runs = [simulate_Z(env, "right", 300, a) for _ in range(40)]
+    runs = [_single_run(env, 300, a) for _ in range(40)]
     assert runs == [_sample_U_run(env, 300, b) for _ in range(40)]
     assert a.random() == b.random()
 
 
 def test_rejects_bad_direction_and_horizon():
     env = make_periodic((0.6, 0.4))
-    rng = substream(S, TAG_GENERAL, 31)
-    with pytest.raises(ValueError):
-        simulate_Z(env, "up", 10, rng)
-    with pytest.raises(ValueError):
-        simulate_Z(env, "right", 0, rng)
     with pytest.raises(ValueError):
         simulate_Z_ensemble(env, "sideways", 10, 100, master_seed=S)
+    with pytest.raises(ValueError):
+        simulate_Z_ensemble(env, "right", 0, 100, master_seed=S)
