@@ -30,7 +30,6 @@ from .criterion import (
 )
 from .environments import (
     CookieEnvironment,
-    EnvKind,
     format_env,
     make_bounded,
     make_custom_tail,
@@ -41,7 +40,6 @@ from .kks import (
     LadderStats,
     OracleHorizonError,
     UDistribution,
-    asymptotic_mu,
     empirical_ladder,
     exact_U_distribution,
     exact_moments,
@@ -53,13 +51,12 @@ from .kks import (
 from .periodic import (
     Classification,
     PeriodicDiagnostics,
-    classify_bounded,
+    asymptotic_mu,
     classify_periodic,
     classify_positive,
     diagnostics,
     failure_chain,
     half_half_threshold,
-    mu_periodic,
 )
 from .seeding import DEFAULT_SEED, default_seed, substream
 from .walk import (
@@ -79,7 +76,6 @@ __all__ = [
     "CookieEnvironment",
     "CriterionInput",
     "DEFAULT_SEED",
-    "EnvKind",
     "LadderStats",
     "MigrationSpec",
     "OffspringSpec",
@@ -92,7 +88,6 @@ __all__ = [
     "ZEnsembleResult",
     "asymptotic_mu",
     "band_bounds",
-    "classify_bounded",
     "classify_bpm",
     "classify_chain",
     "classify_periodic",
@@ -112,7 +107,6 @@ __all__ = [
     "make_bounded",
     "make_custom_tail",
     "make_periodic",
-    "mu_periodic",
     "parse_env",
     "parse_migration",
     "parse_offspring",

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any, Optional, Sequence
@@ -25,10 +26,10 @@ from typing import Any, Optional, Sequence
 from . import bpm as bpm_mod
 from . import criterion as criterion_mod
 from . import kks, periodic, walk
-from .environments import CookieEnvironment, EnvKind, format_env, parse_env
+from .environments import CookieEnvironment, format_env, parse_env
 from .seeding import TAG_LADDER, TAG_LYAPUNOV, default_seed, substream
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 class CliError(Exception):
@@ -110,39 +111,20 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
         label = periodic.classify_positive(delta).value
         return {"classification": label, "delta": delta, "method": "positive-drift"}
     env = _env_of(args)
-    result: dict = {
+    diag = periodic.diagnostics(env)
+    return {
         "environment": format_env(env),
         "predicates": asdict(env.predicates()),
+        "classification": diag.classification.value,
+        "method": "exact",
+        "p_bar": diag.p_bar,
+        # JSON has no infinity: a cycle of ones has no finite drift.
+        "mu": diag.mu if math.isfinite(diag.mu) else None,
+        "rho": diag.rho,
+        "nu": diag.nu,
+        "theta_right": diag.theta_right,
+        "theta_left": diag.theta_left,
     }
-    if env.kind is EnvKind.PERIODIC:
-        diag = periodic.diagnostics(env)
-        result.update(
-            classification=diag.classification.value,
-            method="periodic-exact",
-            p_bar=diag.p_bar,
-            mu=diag.mu,
-            rho=diag.rho,
-            nu=diag.nu,
-            theta_right=diag.theta_right,
-            theta_left=diag.theta_left,
-        )
-    elif env.tail_value == 0.5:
-        result.update(
-            classification=periodic.classify_bounded(env).value,
-            method="total-drift",
-            delta=periodic.bounded_delta(env),
-        )
-    else:
-        tail = float(env.tail_value)  # type: ignore[arg-type]
-        label = (
-            periodic.Classification.TRANSIENT_RIGHT
-            if tail > 0.5
-            else periodic.Classification.TRANSIENT_LEFT
-        )
-        result.update(
-            classification=label.value, method="tail-mean", tail_value=tail
-        )
-    return result
 
 
 def _cmd_analyze(args: argparse.Namespace) -> dict:

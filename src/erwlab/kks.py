@@ -7,10 +7,11 @@ failure when cookies are consumed in pile order.  This module provides
 
 * an exact dynamic-programming oracle for the law of U(x), whose
   failure-count recursion also builds the chain's inverse-CDF table,
-* fast exact samplers (dyadic block composition for periodic piles,
-  prefix plus negative binomial for piles with a constant tail); the
-  dyadic levels and the chain's table draw through ``_InverseCdf``,
-  packed integer keys searched in one call per key array,
+* fast exact samplers: the cycle's own route (a negative binomial for a
+  constant cycle, dyadic block composition otherwise), after one stage
+  of shared Bernoulli trials for a prefix; the dyadic levels and the
+  chain's table draw through ``_InverseCdf``, packed integer keys
+  searched in one call per key array,
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -29,19 +30,13 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bpm import ZEnsembleResult, absorb, escape_threshold
-from .environments import CookieEnvironment, EnvKind
-from .periodic import InternalConsistencyError, slot_runs
+from .environments import CookieEnvironment
+from .periodic import InternalConsistencyError, asymptotic_mu, slot_runs
 from .seeding import TAG_ZSIM, default_seed, substream
 
 # Mass below this per-row threshold is trimmed from sampler tables; the
 # exact oracle is the precision route and never trims this way.
 _ROW_TAIL = 1e-15
-
-
-def asymptotic_mu(env: CookieEnvironment) -> float:
-    """Limiting mean of U(x)/x: pbar/(1-pbar) from the recurring part."""
-    pbar = env.mean_cookie()
-    return math.inf if pbar >= 1.0 else pbar / (1.0 - pbar)
 
 
 def _require_nondegenerate(env: CookieEnvironment) -> None:
@@ -51,11 +46,8 @@ def _require_nondegenerate(env: CookieEnvironment) -> None:
 
 def _constant_value(env: CookieEnvironment) -> Optional[float]:
     """Cookie value if the pile is a single repeated constant."""
-    if env.kind is EnvKind.PERIODIC:
-        first = env.params[0]
-        return first if all(p == first for p in env.params) else None
-    t = float(env.tail_value)  # type: ignore[arg-type]
-    return t if all(p == t for p in env.params) else None
+    first = env.cycle[0]
+    return first if all(p == first for p in env.prefix + env.cycle) else None
 
 
 # ---------------------------------------------------------------------
@@ -96,7 +88,7 @@ class OracleHorizonError(RuntimeError):
 
 def _horizon_cap(env: CookieEnvironment, x: int) -> int:
     mu = asymptotic_mu(env)
-    return int(64 * (x + env.period) * (1.0 + min(mu, 64.0)))
+    return int(64 * (x + len(env.prefix) + env.period) * (1.0 + min(mu, 64.0)))
 
 
 def _failure_counts(env: CookieEnvironment, size: int, floor: float,
@@ -177,41 +169,6 @@ def exact_moments(env: CookieEnvironment, x: int, tail_eps: float = 1e-14) -> Ex
 # ---------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------
-
-
-def _prefix_tail_draws(
-    env: CookieEnvironment,
-    x: "int | np.ndarray",
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample U(x) for a finite prefix followed by a constant tail.
-
-    ``x`` may be a scalar or one target per draw; the prefix consumes at
-    most M shared Bernoulli trials, the rest is a negative binomial.
-    """
-    params = env.params
-    tail = float(env.tail_value)  # type: ignore[arg-type]
-    xs = np.asarray(x, dtype=np.int64)
-    if xs.ndim == 0:
-        xs = np.full(size, int(xs), dtype=np.int64)
-    fails = np.zeros(size, dtype=np.int64)
-    succ = np.zeros(size, dtype=np.int64)
-    for p in params:
-        open_ = fails < xs
-        u = rng.random(size)
-        right = u < p
-        succ += (right & open_).astype(np.int64)
-        fails += (~right & open_).astype(np.int64)
-    rem = np.maximum(xs - fails, 0)
-    out = succ.copy()
-    needs = rem > 0
-    if np.any(needs):
-        if tail >= 1.0:
-            raise ValueError("degenerate tail: remaining failures never occur")
-        draws = rng.negative_binomial(np.maximum(rem, 1), 1.0 - tail, size)
-        out += np.where(needs, draws.astype(np.int64), 0)
-    return out
 
 
 # Packed inverse-CDF keys; the layout is described on ``_InverseCdf``.
@@ -315,8 +272,8 @@ class _DyadicLevel(NamedTuple):
 
 
 class _DyadicSampler:
-    """Exact draws of U(x), x >= 1, for periodic piles by dyadic block
-    composition.
+    """Exact draws of U(x), x >= 1, for the pile's cycle (started at its
+    slot 0, the prefix ignored) by dyadic block composition.
 
     The run of successes before a failure splits as d + M*t: d < M is
     the slot advance and t counts whole-period wraps.  The wraps are
@@ -357,9 +314,9 @@ class _DyadicSampler:
     _MAX_BINS = 1 << 22
 
     def __init__(self, env: CookieEnvironment):
-        self.m = len(env.params)
+        self.m = env.period
         # Level 0: advance d within the period, then a failure.
-        runs, self.fail = slot_runs(env.params)
+        runs, self.fail = slot_runs(env.cycle)
         self.levels: list[_DyadicLevel] = [self._finish(0, runs)]
 
     def _finish(self, k0: int, rows: np.ndarray) -> _DyadicLevel:
@@ -448,30 +405,53 @@ class _DyadicSampler:
         return out + self.m * int(rng.negative_binomial(x, self.fail))
 
 
+def _cycle_route(env: CookieEnvironment) -> tuple[Callable, Callable]:
+    """Exact samplers of the cycle's U(x), started at cycle slot 0: a
+    negative binomial for a constant cycle, dyadic levels otherwise."""
+    first = env.cycle[0]
+    if all(p == first for p in env.cycle):
+        q = 1.0 - first
+        return (
+            lambda x, rng: int(rng.negative_binomial(x, q)),
+            lambda xs, rng: rng.negative_binomial(xs, q, len(xs)).astype(np.int64),
+        )
+    dy = _DyadicSampler(env)
+    return dy.draw_one, dy.draw
+
+
 @lru_cache(maxsize=4)
 def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
     """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw and
     ``many(xs, rng)`` for one draw per entry of an array.
 
     The one place that checks a pile and picks its route: the checks
-    cost O(M), so they run once per pile, and a periodic pile's dyadic
-    levels are kept with its samplers.
+    cost O(M), so they run once per pile, and a cycle's dyadic levels
+    are kept with its samplers.  A constant pile, and a pile without a
+    prefix, is its cycle's route.  Otherwise the prefix's cookies take
+    one shared Bernoulli trial each, and the failures still needed come
+    from the cycle's route, held in this entry; draws for rows that need
+    none are made at x = 1 and dropped, so the batch is one call.
     """
     _require_nondegenerate(env)
-    const = _constant_value(env)
-    if const is not None:
-        p = 1.0 - const
-        return (
-            lambda x, rng: int(rng.negative_binomial(x, p)),
-            lambda xs, rng: rng.negative_binomial(xs, p, len(xs)).astype(np.int64),
-        )
-    if env.kind is EnvKind.PERIODIC:
-        dy = _DyadicSampler(env)
-        return dy.draw_one, dy.draw
-    return (
-        lambda x, rng: int(_prefix_tail_draws(env, x, 1, rng)[0]),
-        lambda xs, rng: _prefix_tail_draws(env, xs, len(xs), rng),
-    )
+    cycle_one, cycle_many = _cycle_route(env)
+    if _constant_value(env) is not None or not env.prefix:
+        return cycle_one, cycle_many
+
+    def many(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        fails = np.zeros(len(xs), dtype=np.int64)
+        out = np.zeros(len(xs), dtype=np.int64)
+        for p in env.prefix:
+            open_ = fails < xs
+            right = rng.random(len(xs)) < p
+            out += right & open_
+            fails += ~right & open_
+        rem = xs - fails
+        needs = rem > 0
+        if np.any(needs):
+            out += np.where(needs, cycle_many(np.maximum(rem, 1), rng), 0)
+        return out
+
+    return lambda x, rng: int(many(np.full(1, x, dtype=np.int64), rng)[0]), many
 
 
 def sample_U_many(
@@ -591,13 +571,12 @@ def _escape_threshold(env: CookieEnvironment, horizon: int) -> Optional[int]:
     """Chain size above which a run is declared to survive.
 
     The policy is ``bpm.escape_threshold``; this supplies the chain's
-    variance rate and the constant downward drift of its size bias.
+    variance rate and a bound on the constant downward drift of its size
+    bias: 2 per cycle entry, plus the prefix's total drift when that
+    points left.
     """
-    if env.kind is EnvKind.PERIODIC:
-        down = 2.0 * float(env.period)
-    else:
-        delta = float(sum(2.0 * p - 1.0 for p in env.params))
-        down = max(0.0, -delta)
+    delta = math.fsum(2.0 * p - 1.0 for p in env.prefix)
+    down = 2.0 * env.period + max(0.0, -delta)
     return escape_threshold(asymptotic_mu(env), _variance_rate(env), down, horizon)
 
 

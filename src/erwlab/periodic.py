@@ -1,16 +1,22 @@
-"""Closed-form analysis of periodic and bounded cookie environments.
+"""Closed-form analysis of cookie piles: a finite prefix, then a cycle.
 
-The central object is the failure chain: the cookie slot (mod M) that is
-active right after each failed trial when Bernoulli cookies are consumed
-in order.  Its transition matrix is the slot-run law of :func:`slot_runs`,
-which the dyadic sampler shares; its stationary law (checked by one
-linear solve of pi (P - I) = 0) and per-state expected success-run
-lengths have closed forms.  Together they give the drift mu of the
-embedded crossing chain, and in the critical case (mean cookie 1/2) the
-limiting centered drift rho, the diffusion coefficient nu and the ratio
-theta = 2*rho/nu that decides recurrence versus transience.  These come
-from one exact pass over the pile's entries as fractions, so theta and
-the drift of a bounded pile are compared with 1 without round-off.
+The central object is the failure chain of the cycle: the cookie slot
+(mod M) that is active right after each failed trial when Bernoulli
+cookies are consumed in order.  Its transition matrix is the slot-run
+law of :func:`slot_runs`, which the dyadic sampler shares; its
+stationary law (checked by one linear solve of pi (P - I) = 0) and
+per-state expected success-run lengths have closed forms.  Together
+they give the drift mu of the embedded crossing chain, and in the
+critical case (mean cookie 1/2) the limiting centered drift rho, the
+diffusion coefficient nu and the ratio theta = 2*rho/nu that decides
+recurrence versus transience.
+
+A prefix is consumed once, before the cycle starts at its slot 0, so it
+moves rho by its total drift delta_prefix and leaves mu and nu alone.
+One exact pass over the pile's entries as fractions gives theta for
+every pile, so theta is compared with 1 without round-off.  For the fair
+cycle (1/2), rho = delta_prefix and nu = 2, so theta is the prefix's
+total drift: the bounded-pile rule of Kosygina and Zerner (2008).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .environments import CookieEnvironment, EnvKind
+from .environments import CookieEnvironment
 
 
 class Classification(enum.Enum):
@@ -61,9 +67,9 @@ class FailureChain:
         return float(self.stationary @ self.expected_runs)
 
 
-def _require_periodic(env: CookieEnvironment) -> None:
-    if env.kind is not EnvKind.PERIODIC:
-        raise ValueError("operation requires a periodic environment")
+def _require_no_prefix(env: CookieEnvironment) -> None:
+    if env.prefix:
+        raise ValueError("operation requires a periodic environment (no prefix)")
 
 
 def _require_elliptic(env: CookieEnvironment) -> None:
@@ -91,14 +97,13 @@ def slot_runs(params: tuple[float, ...]) -> tuple[np.ndarray, float]:
     return runs, min(float(runs[0].sum()), 1.0)
 
 
-def mu_periodic(env: CookieEnvironment) -> float:
-    """Drift of the crossing chain: pbar / (1 - pbar).
+def asymptotic_mu(env: CookieEnvironment) -> float:
+    """Drift of the crossing chain, the limit of E U(x) / x: pbar / (1 - pbar)
+    with pbar the cycle's mean cookie.
 
-    Returns ``inf`` for the degenerate all-ones pattern.  Agrees with the
-    stationary mean run length of :func:`failure_chain` for elliptic
-    environments.
+    Returns ``inf`` for a cycle of ones.  Agrees with the stationary mean
+    run length of :func:`failure_chain` for elliptic environments.
     """
-    _require_periodic(env)
     pbar = env.mean_cookie()
     if pbar >= 1.0:
         return math.inf
@@ -115,16 +120,16 @@ def failure_chain(env: CookieEnvironment) -> FailureChain:
     sum(pi) = 1 (unique, as P > 0 for elliptic piles) and by its
     invariance residual; a failure raises :class:`InternalConsistencyError`.
     """
-    _require_periodic(env)
+    _require_no_prefix(env)
     _require_elliptic(env)
     m = env.period
-    runs, fail = slot_runs(env.params)
+    runs, fail = slot_runs(env.cycle)
     slots = np.arange(m)
     matrix = np.empty((m, m))
     matrix[slots[:, None], (slots[:, None] + slots + 1) % m] = runs
     matrix /= runs.sum(axis=1, keepdims=True)
 
-    q = 1.0 - np.asarray(env.params, dtype=float)
+    q = 1.0 - np.asarray(env.cycle, dtype=float)
     stationary = np.roll(q, 1)  # pi_j ~ 1 - p_{j-1}
     stationary = stationary / stationary.sum()
 
@@ -155,17 +160,20 @@ def _verify_stationary(matrix: np.ndarray, closed_form: np.ndarray, tol: float =
         )
 
 
-def _exact_values(env: CookieEnvironment) -> tuple[Fraction, ...]:
-    """The pile's entries as fractions; a float converts exactly."""
-    if env.exact_params is not None:
-        return env.exact_params
-    return tuple(Fraction(p) for p in env.params)
+def _exact_values(
+    floats: tuple[float, ...], exact: Optional[tuple[Fraction, ...]]
+) -> tuple[Fraction, ...]:
+    """A pile part's entries as fractions; a float converts exactly."""
+    return exact if exact is not None else tuple(Fraction(p) for p in floats)
 
 
 @dataclass(frozen=True)
 class _ExactPass:
-    """Prefix drifts, rho and nu of a periodic pile, as fractions;
-    ``rho_left`` = (2/M) sum p_i (-delta_i) is the mirrored pile's rho."""
+    """Drifts, rho and nu of a pile, as fractions.
+
+    ``delta[i]`` is the total drift of the prefix and cycle entries 0..i;
+    ``rho_left`` = (2/M) sum p_i (-delta_i) is the mirrored pile's rho.
+    """
 
     delta: tuple[Fraction, ...]
     rho: Fraction
@@ -182,10 +190,14 @@ class _ExactPass:
 
 
 def _exact_pass(env: CookieEnvironment) -> _ExactPass:
-    _require_periodic(env)
-    ps = _exact_values(env)
+    """One pass over the entries.  The cycle's drifts start from the
+    prefix's total, so at criticality, where (2/M) sum (1 - p_i) = 1,
+    rho is the cycle's rho plus delta_prefix and rho_left the cycle's
+    less it."""
+    start = sum((2 * p - 1 for p in _exact_values(env.prefix, env.exact_prefix)), Fraction(0))
+    ps = _exact_values(env.cycle, env.exact_cycle)
     m = len(ps)
-    delta = tuple(itertools.accumulate(2 * p - 1 for p in ps))
+    delta = tuple(itertools.accumulate((2 * p - 1 for p in ps), initial=start))[1:]
     return _ExactPass(
         delta=delta,
         rho=2 * sum(((1 - p) * d for p, d in zip(ps, delta)), Fraction(0)) / m,
@@ -208,11 +220,13 @@ def _compare_with_one(right: Union[Fraction, float], left: Union[Fraction, float
 class PeriodicDiagnostics:
     """Everything the classifier looks at, in one bundle.
 
-    ``rho`` = (2/M) sum_i (1 - p_i) delta_i is the crossing chain's
-    limiting centered drift, ``nu`` = 8 * mean of p_i (1 - p_i) its
-    diffusion coefficient, and ``theta_right`` = 2 rho / nu;
-    ``theta_left`` is the mirrored pile's theta.  ``rho`` and both thetas
-    are None off criticality (mean cookie not 1/2).
+    Sums run over the M cycle entries p_i.  ``delta[i]`` is the total
+    drift sum (2 p - 1) of the prefix and cycle entries up to i.  ``rho``
+    = (2/M) sum_i (1 - p_i) delta_i is the crossing chain's limiting
+    centered drift, ``nu`` = 8 * mean of p_i (1 - p_i) its diffusion
+    coefficient, and ``theta_right`` = 2 rho / nu; ``theta_left`` is the
+    mirrored pile's theta.  ``rho`` and both thetas are None off
+    criticality (mean cookie not 1/2).
     """
 
     p_bar: float
@@ -226,24 +240,24 @@ class PeriodicDiagnostics:
 
 
 def classify_periodic(env: CookieEnvironment) -> Classification:
-    """Recurrence/transience trichotomy for elliptic periodic piles.
+    """Recurrence/transience trichotomy for every pile.
 
-    Mean cookie above 1/2 gives right transience, below 1/2 left
-    transience.  At exactly 1/2 the sign is decided by theta: above 1
-    for the environment itself means right transience, above 1 for the
-    mirrored environment left transience, otherwise the walk is
-    recurrent (theta equal to 1 included).
+    Mean cookie of the cycle above 1/2 gives right transience, below 1/2
+    left transience.  At exactly 1/2 the pile must be elliptic, and the
+    sign is decided by theta: above 1 for the environment itself means
+    right transience, above 1 for the mirrored environment left
+    transience, otherwise the walk is recurrent (theta equal to 1
+    included).
     """
     return diagnostics(env).classification
 
 
 def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     """Classification together with every intermediate quantity."""
-    _require_periodic(env)
-    _require_elliptic(env)
     exact = _exact_pass(env)
     critical = env.is_critical()
     if critical:
+        _require_elliptic(env)
         label = _compare_with_one(exact.theta_right, exact.theta_left)
     elif env.mean_cookie() > 0.5:
         label = Classification.TRANSIENT_RIGHT
@@ -252,7 +266,7 @@ def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     return PeriodicDiagnostics(
         p_bar=env.mean_cookie(),
         delta=tuple(float(d) for d in exact.delta),
-        mu=mu_periodic(env),
+        mu=asymptotic_mu(env),
         rho=float(exact.rho) if critical else None,
         nu=float(exact.nu),
         theta_right=float(exact.theta_right) if critical else None,
@@ -267,29 +281,6 @@ def half_half_threshold(p: float) -> float:
     if not 0.5 < p < 1.0:
         raise ValueError("threshold defined for p strictly between 1/2 and 1")
     return (8.0 * p - 8.0 * p * p + 2.0) / (2.0 * p - 1.0)
-
-
-def _fair_tail_delta(env: CookieEnvironment) -> Fraction:
-    if env.kind is EnvKind.PERIODIC or env.tail_value != 0.5:
-        raise ValueError("operation requires an environment with fair tail")
-    return sum((2 * p - 1 for p in _exact_values(env)), Fraction(0))
-
-
-def classify_bounded(env: CookieEnvironment) -> Classification:
-    """Classification of a bounded pile by its total drift.
-
-    delta = sum over the prefix of (2*p_i - 1); above 1 right transient,
-    below -1 left transient, otherwise recurrent.
-    """
-    delta = _fair_tail_delta(env)
-    if not all(0.0 < p < 1.0 for p in env.params):
-        raise ValueError("operation requires an elliptic prefix")
-    return _compare_with_one(delta, -delta)
-
-
-def bounded_delta(env: CookieEnvironment) -> float:
-    """Total prefix drift of a bounded pile."""
-    return float(_fair_tail_delta(env))
 
 
 def classify_positive(delta: float) -> Classification:

@@ -5,9 +5,9 @@ of cookie j+1 of the pile and left otherwise.
 
 ``run_walk`` is the scalar reference walk: it keeps raw visit counts.
 The lockstep engine behind ``ensemble_walks`` and ``edge_crossings``
-stores them reduced (mod M for periodic piles, saturated at the prefix
-length for piles with a constant tail), since only the active cookie
-matters; both consume one uniform per step, so they walk the same path.
+stores them reduced to a cookie state (a prefix position, or a cycle
+slot once the prefix is used up), since only the active cookie matters;
+both consume one uniform per step, so they walk the same path.
 
 Every trial draws from its own substream keyed by the master seed, a
 stream tag and the trial index, and results are reduced in trial order,
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environments import CookieEnvironment, EnvKind
+from .environments import CookieEnvironment
 from .seeding import TAG_CROSSINGS, TAG_WALK, default_seed, substream
 
 _GROUP = 1024
@@ -101,14 +101,12 @@ def run_walk(
 
 
 def _cookie_tables(env: CookieEnvironment) -> tuple[np.ndarray, np.ndarray]:
-    """(probability by reduced count, next reduced count) lookup tables."""
-    m = env.period
-    if env.kind is EnvKind.PERIODIC:
-        probs = np.asarray(env.params, dtype=float)
-        nxt = (np.arange(m, dtype=np.int64) + 1) % m
-        return probs, nxt
-    probs = np.asarray(list(env.params) + [float(env.tail_value)], dtype=float)
-    nxt = np.minimum(np.arange(m + 1, dtype=np.int64) + 1, m)
+    """(probability by reduced count, next reduced count) lookup tables:
+    the prefix's states, then the cycle's, whose last state leads back to
+    the cycle's first."""
+    probs = np.asarray(env.prefix + env.cycle, dtype=float)
+    nxt = np.arange(1, len(probs) + 1, dtype=np.int64)
+    nxt[-1] = len(env.prefix)
     return probs, nxt
 
 

@@ -37,7 +37,6 @@ from erwlab.periodic import (
     diagnostics,
     failure_chain,
     half_half_threshold,
-    mu_periodic,
 )
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LYAPUNOV, substream
 from erwlab.walk import ensemble_walks
@@ -123,7 +122,7 @@ def test_closed_form_drift_matches_oracle():
         mean = exact_U_distribution(env, 200, tail_eps=1e-13).mean()
         err = abs(rho - (mean - 200.0))
         worst = max(worst, err)
-        assert err < 1e-6, (env.params, err)
+        assert err < 1e-6, (env.cycle, err)
     _ok("drift closed form", f"worst |rho - rho(200)| = {worst:.2e} over 5 piles", t0)
 
 
@@ -140,7 +139,7 @@ def test_closed_form_diffusion_matches_oracle():
         nu_x = exact_moments(env, 10_000).nu_x
         rel = abs(nu_x - nu) / nu
         worst = max(worst, rel)
-        assert rel < 0.05, (env.params, rel)
+        assert rel < 0.05, (env.cycle, rel)
     _ok("diffusion closed form", f"worst relative error {worst:.2e} at x = 1e4", t0)
 
 
@@ -182,7 +181,7 @@ def test_chain_drift_identity_and_monte_carlo_mean():
     worst = 0.0
     for env in envs:
         chain = failure_chain(env)
-        err = abs(mu_periodic(env) - chain.mean_run())
+        err = abs(asymptotic_mu(env) - chain.mean_run())
         worst = max(worst, err)
         assert err < 1e-10
     worst_rel = 0.0
@@ -193,7 +192,7 @@ def test_chain_drift_identity_and_monte_carlo_mean():
         mu = asymptotic_mu(env)
         rel = abs(draws.mean() / x - mu) / mu
         worst_rel = max(worst_rel, rel)
-        assert rel < 0.01, (env.params, rel)
+        assert rel < 0.01, (env.cycle, rel)
     _ok(
         "drift identity",
         f"worst exact gap {worst:.2e} over 100 piles, "

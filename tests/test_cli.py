@@ -42,12 +42,12 @@ def _run_csv(capsys, argv):
 
 def test_classify_critical_periodic_payload(capsys):
     payload = _run_json(capsys, ["classify", "--env", "periodic:0.9,0.1"])
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert payload["config"]["command"] == "classify"
     assert payload["config"]["seed"] == DEFAULT_SEED
     r = payload["result"]
     assert r["classification"] == "Recurrent"
-    assert r["method"] == "periodic-exact"
+    assert r["method"] == "exact"
     assert r["theta_right"] == pytest.approx(2.0 / 9.0)
     assert r["theta_left"] == pytest.approx(-2.0)
     assert r["predicates"]["elliptic"] is True
@@ -70,17 +70,53 @@ def test_classify_fraction_literal_is_exactly_critical(capsys):
 def test_classify_bounded_and_tail_and_positive(capsys):
     r = _run_json(capsys, ["classify", "--env", "bounded:0.9,0.9"])["result"]
     assert r["classification"] == "TransientRight"
-    assert r["method"] == "total-drift"
-    assert r["delta"] == pytest.approx(1.6)
+    assert r["method"] == "exact"
+    assert r["theta_right"] == pytest.approx(1.6)
 
     r = _run_json(capsys, ["classify", "--env", "tail:0.9@0.2"])["result"]
     assert r["classification"] == "TransientLeft"
-    assert r["method"] == "tail-mean"
+    assert r["method"] == "exact"
+    assert r["theta_right"] is None
 
     delta = 2.0 * (math.pi**2 / 6.0 - 1.0)
     r = _run_json(capsys, ["classify", "--positive-delta", str(delta)])["result"]
     assert r["classification"] == "TransientRight"
     assert r["method"] == "positive-drift"
+
+
+def test_classify_payload_has_one_shape_for_every_pile(capsys):
+    shapes = {}
+    literals = ("periodic:0.9,0.1", "bounded:0.9,0.9", "tail:0.9@0.2", "tail:0.9,0.9@0.9,0.1")
+    for literal in literals:
+        r = _run_json(capsys, ["classify", "--env", literal])["result"]
+        assert r["method"] == "exact"
+        shapes[literal] = sorted(r)
+    assert len({tuple(v) for v in shapes.values()}) == 1
+    r = _run_json(capsys, ["classify", "--env", "tail:0.9,0.9@0.9,0.1"])["result"]
+    assert r["environment"] == "tail:0.9,0.9@0.9,0.1"
+    assert r["classification"] == "TransientRight"
+    assert r["theta_right"] == pytest.approx(14.0 / 3.0)
+
+
+def test_off_critical_non_elliptic_pile_classifies(capsys):
+    # Ellipticity matters only where theta decides; a cycle of ones has
+    # no finite drift, which JSON writes as null.
+    r = _run_json(capsys, ["classify", "--env", "periodic:1.0,0.2"])["result"]
+    assert r["classification"] == "TransientRight"
+    assert r["mu"] == pytest.approx(1.5)
+    r = _run_json(capsys, ["classify", "--env", "tail:0.9@1.0"])["result"]
+    assert r["classification"] == "TransientRight"
+    assert r["mu"] is None
+    code, out, err = _run(capsys, ["classify", "--env", "bounded:1.0"])
+    assert code == 2 and out == ""
+    assert "elliptic" in err
+
+
+def test_analyze_rejects_a_prefix(capsys):
+    code, out, err = _run(capsys, ["analyze", "--env", "bounded:0.9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("erwlab: error:") and "prefix" in err
 
 
 def test_analyze_emits_chain_csv(capsys, tmp_path):
@@ -107,7 +143,7 @@ def test_classify_boundary_literals_are_exactly_one_and_recurrent(capsys):
     assert r["classification"] == "Recurrent"
 
     r = _run_json(capsys, ["classify", "--env", "bounded:0.4,0.8,0.8"])["result"]
-    assert r["delta"] == 1.0
+    assert r["theta_right"] == 1.0
     assert r["classification"] == "Recurrent"
 
 

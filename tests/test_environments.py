@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from erwlab.environments import (
     CookieEnvironment,
-    EnvKind,
     format_env,
     make_bounded,
     make_custom_tail,
@@ -38,6 +37,19 @@ def test_cookie_at_tail_saturates():
     assert env.cookie_at(1000) == 0.6
 
 
+def test_cookie_at_prefix_then_cycle():
+    env = parse_env("tail:0.2,0.3@0.9,0.1")
+    assert [env.cookie_at(i) for i in range(1, 8)] == [0.2, 0.3, 0.9, 0.1, 0.9, 0.1, 0.9]
+    assert env.period == 2
+    assert env.is_critical()
+
+
+def test_prefix_that_continues_the_cycle_is_periodic():
+    # 0.1, then 0.9, 0.1 repeating, is the pile 0.1, 0.9, 0.1, 0.9, ...
+    assert parse_env("tail:0.1@0.9,0.1").predicates().periodic
+    assert not parse_env("tail:0.9@0.9,0.1").predicates().periodic
+
+
 def test_cookie_index_starts_at_one():
     env = make_periodic((0.5,))
     with pytest.raises(ValueError):
@@ -46,8 +58,8 @@ def test_cookie_index_starts_at_one():
 
 def test_bounded_constructor_fixes_tail_at_half():
     env = make_bounded((0.9, 0.8))
-    assert env.kind is EnvKind.BOUNDED
-    assert env.tail_value == 0.5
+    assert env.prefix == (0.9, 0.8)
+    assert env.cycle == (0.5,) and env.exact_cycle == (Fraction(1, 2),)
     assert env.cookie_at(17) == 0.5
 
 
@@ -102,6 +114,7 @@ def test_parse_and_format_round_trip():
         "periodic:0.9,0.1",
         "bounded:0.9,0.9",
         "tail:0.9,0.7@0.5",
+        "tail:0.9,0.9@0.9,0.1",
         "periodic:9/10,1/10",
     ):
         env = parse_env(text)
@@ -116,6 +129,8 @@ def test_parse_rejects_unknown_kind_and_bad_values():
         parse_env("periodic:1.5")
     with pytest.raises(ValueError):
         parse_env("tail:0.5")  # missing @tail
+    with pytest.raises(ValueError):
+        parse_env("tail:0.5@")  # empty cycle
 
 
 @given(periods)
@@ -154,4 +169,4 @@ def test_environment_is_hashable_and_frozen():
     env = make_periodic((0.7, 0.3))
     assert env in {env}
     with pytest.raises(Exception):
-        env.params = (0.5,)  # type: ignore[misc]
+        env.cycle = (0.5,)  # type: ignore[misc]

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import erwlab
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -51,3 +52,13 @@ def test_every_name_the_benchmark_reads_resolves():
         except (AttributeError, ImportError):
             missing.append(name)
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    # The README's Library block is the user-facing code example; it must
+    # keep running as the public names change.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

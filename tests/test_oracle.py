@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erwlab.environments import (
+    CookieEnvironment,
     make_bounded,
     make_custom_tail,
     make_periodic,
@@ -25,6 +26,7 @@ from erwlab.kks import (
     exact_U_distribution,
     exact_moments,
 )
+from erwlab.periodic import diagnostics
 
 
 def _mass_by_failure_placement(env, x, k):
@@ -123,6 +125,40 @@ def test_bounded_pile_mean_is_target_plus_total_drift():
     d = exact_U_distribution(env, 40, tail_eps=1e-13)
     # delta = -0.6 - 0.4 - 0.2
     assert d.mean() == pytest.approx(40.0 - 1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "prefix,cycle,rho",
+    [
+        ((0.9, 0.9), (0.9, 0.1), 1.68),
+        ((0.2,), (0.9, 0.9, 0.1, 0.1), -0.12),
+        ((0.7, 0.3, 0.95), (0.8, 0.3, 0.4, 0.5), 1.03),
+        ((0.1, 0.2), (0.5,), -1.40),
+    ],
+)
+def test_prefix_moves_rho_by_its_total_drift(prefix, cycle, rho):
+    # The cycle starts at its slot 0 once the prefix is used up, so the
+    # prefix adds its drift to the cycle's rho: rho = rho_cycle + delta.
+    env = CookieEnvironment(prefix, cycle)
+    delta = sum(2.0 * p - 1.0 for p in prefix)
+    assert diagnostics(env).rho == pytest.approx(rho, abs=1e-12)
+    assert diagnostics(CookieEnvironment((), cycle)).rho + delta == pytest.approx(rho, abs=1e-12)
+    for x in (50, 400):
+        assert exact_moments(env, x).rho_x == pytest.approx(rho, abs=1e-6), x
+
+
+@pytest.mark.parametrize(
+    "prefix,cycle,rho",
+    [((0.8,), (0.1, 0.1, 0.9, 0.9), -0.52), ((0.1, 0.1), (0.1, 0.9), -2.32)],
+)
+def test_mirrored_prefix_moves_rho_left_by_minus_its_drift(prefix, cycle, rho):
+    # rho of the mirrored pile is the original pile's rho_left, which is
+    # the cycle's rho_left less the original prefix's drift.
+    mirrored = CookieEnvironment(prefix, cycle)
+    d = diagnostics(mirrored.mirror())
+    assert d.theta_left * d.nu / 2.0 == pytest.approx(rho, abs=1e-12)
+    for x in (50, 400):
+        assert exact_moments(mirrored, x).rho_x == pytest.approx(rho, abs=1e-6), x
 
 
 def test_moments_converge_to_closed_form_constants():

@@ -8,6 +8,7 @@ oracle) before being written down.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,19 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erwlab.environments import make_bounded, make_custom_tail, make_periodic
+from erwlab.environments import make_bounded, make_custom_tail, make_periodic, parse_env
 from erwlab.periodic import (
     Classification,
     InternalConsistencyError,
     _verify_stationary,
-    bounded_delta,
-    classify_bounded,
+    asymptotic_mu,
     classify_periodic,
     classify_positive,
     diagnostics,
     failure_chain,
     half_half_threshold,
-    mu_periodic,
     slot_runs,
 )
 from reference_routes import power_iteration_stationary
@@ -91,10 +90,10 @@ def test_long_period_chain_is_stochastic_with_closed_form_law(m):
     env = make_periodic(tuple(np.random.default_rng(1).uniform(0.05, 0.95, m)))
     chain = failure_chain(env)
     assert float(np.max(np.abs(chain.matrix.sum(axis=1) - 1.0))) < 1e-12
-    q = 1.0 - np.asarray(env.params)
+    q = 1.0 - np.asarray(env.cycle)
     assert np.allclose(chain.stationary, np.roll(q, 1) / q.sum(), rtol=0.0, atol=1e-15)
     assert float(np.max(np.abs(chain.stationary @ chain.matrix - chain.stationary))) < 1e-12
-    assert chain.mean_run() == pytest.approx(mu_periodic(env), abs=1e-10)
+    assert chain.mean_run() == pytest.approx(asymptotic_mu(env), abs=1e-10)
 
 
 def test_matrix_is_the_slot_run_law_moved_one_slot_on():
@@ -128,9 +127,9 @@ def test_mu_equals_stationary_mean_run_weight():
         env = make_periodic(params)
         chain = failure_chain(env)
         pbar = sum(params) / len(params)
-        assert mu_periodic(env) == pytest.approx(pbar / (1 - pbar), abs=1e-12)
+        assert asymptotic_mu(env) == pytest.approx(pbar / (1 - pbar), abs=1e-12)
         assert float(chain.stationary @ chain.expected_runs) == pytest.approx(
-            mu_periodic(env), abs=1e-10
+            asymptotic_mu(env), abs=1e-10
         )
 
 
@@ -157,7 +156,7 @@ def test_rho_changes_by_one_minus_two_p_under_shift():
     env = make_periodic((0.8, 0.3, 0.4, 0.5))
     for j in range(1, env.period):
         lhs = diagnostics(env.shift(j + 1)).rho
-        rhs = diagnostics(env.shift(j)).rho + 1.0 - 2.0 * env.params[j - 1]
+        rhs = diagnostics(env.shift(j)).rho + 1.0 - 2.0 * env.cycle[j - 1]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -259,14 +258,60 @@ def test_theta_one_piles_in_tenths_are_recurrent():
         assert classify_periodic(mirror) is Classification.RECURRENT, k
 
 
+def _prefixed_tenths_on_the_boundary():
+    """(prefix, cycle) numerators of every pile k/10, 1 <= k <= 9, with a
+    1-2 entry prefix and a non-constant 2-4 entry cycle of mean 1/2 whose
+    theta_right or theta_left is exactly 1.
+
+    With n the cycle length, D_i its partial sums of 2k - 10, Dp the
+    prefix's sum of 2k - 10 and S = sum k_i (10 - k_i) over the cycle,
+    theta_right = 1 reads sum (10 - k_i) D_i + 5 n Dp = 2 S and
+    theta_left = 1 reads -sum k_i D_i - 5 n Dp = 2 S in integers.
+    """
+    prefixes = [p for n in (1, 2) for p in itertools.product(range(1, 10), repeat=n)]
+    dp = np.array([sum(2 * k - 10 for k in p) for p in prefixes])
+    found = []
+    for n in (2, 3, 4):
+        k = np.indices((9,) * n).reshape(n, -1).T + 1
+        k = k[(k.sum(axis=1) == 5 * n) & (k.min(axis=1) < k.max(axis=1))]
+        d = np.cumsum(2 * k - 10, axis=1)
+        s = 2 * (k * (10 - k)).sum(axis=1)[:, None]
+        right = ((10 - k) * d).sum(axis=1)[:, None] + 5 * n * dp == s
+        left = -(k * d).sum(axis=1)[:, None] - 5 * n * dp == s
+        for c, j in zip(*np.nonzero(right | left)):
+            found.append((prefixes[j], tuple(k[c].tolist())))
+    return found
+
+
+def test_theta_one_piles_with_a_prefix_are_recurrent():
+    piles = _prefixed_tenths_on_the_boundary()
+    assert len(piles) == 504
+    for prefix, cycle in piles:
+        body = "@".join(",".join(f"{v}/10" for v in part) for part in (prefix, cycle))
+        d = diagnostics(parse_env(f"tail:{body}"))
+        assert 1.0 in (d.theta_right, d.theta_left), (prefix, cycle)
+        assert d.classification is Classification.RECURRENT, (prefix, cycle)
+
+
+def test_prefix_before_a_recurrent_cycle_can_make_it_transient():
+    # The cycle (0.9, 0.1) alone has theta 2/9; the prefix adds 1.6 to rho.
+    d = diagnostics(parse_env("tail:0.9,0.9@0.9,0.1"))
+    assert d.classification is Classification.TRANSIENT_RIGHT
+    assert d.theta_right == pytest.approx(14.0 / 3.0, abs=1e-12)
+    assert d.rho == pytest.approx(1.68, abs=1e-12) and d.nu == pytest.approx(0.72, abs=1e-12)
+    assert d.mu == 1.0
+
+
 def test_unit_drift_bounded_piles_in_twentieths_are_recurrent():
     count = 0
     for c in (2, 3):
         k = np.indices((19,) * c).reshape(c, -1).T + 1
         for row in k[np.abs((k - 10).sum(axis=1)) == 10].tolist():
             env = make_bounded([Fraction(v, 20) for v in row])
-            assert abs(bounded_delta(env)) == 1.0, row
-            assert classify_bounded(env) is Classification.RECURRENT, row
+            d = diagnostics(env)
+            # A fair cycle makes theta the prefix's total drift delta.
+            assert (d.theta_right, d.theta_left) in ((1.0, -1.0), (-1.0, 1.0)), row
+            assert d.classification is Classification.RECURRENT, row
             count += 1
     assert count == 360
 
@@ -278,20 +323,22 @@ def test_unit_drift_bounded_piles_in_twentieths_are_recurrent():
 
 def test_bounded_total_drift_and_classification():
     env = make_bounded((0.9, 0.9))
-    assert bounded_delta(env) == pytest.approx(1.6, abs=1e-12)
-    assert classify_bounded(env) is Classification.TRANSIENT_RIGHT
-    assert classify_bounded(make_bounded((0.9,))) is Classification.RECURRENT
-    assert classify_bounded(make_bounded((0.1, 0.2))) is Classification.TRANSIENT_LEFT
+    d = diagnostics(env)
+    assert d.theta_right == pytest.approx(1.6, abs=1e-12)
+    assert d.theta_left == pytest.approx(-1.6, abs=1e-12)
+    assert d.classification is Classification.TRANSIENT_RIGHT
+    assert classify_periodic(make_bounded((0.9,))) is Classification.RECURRENT
+    assert classify_periodic(make_bounded((0.1, 0.2))) is Classification.TRANSIENT_LEFT
 
 
 def test_bounded_boundary_case_is_recurrent():
     # |delta| exactly 1 stays recurrent
-    assert classify_bounded(make_bounded((0.75, 0.75))) is Classification.RECURRENT
+    assert classify_periodic(make_bounded((0.75, 0.75))) is Classification.RECURRENT
 
 
 def test_custom_tail_at_half_counts_as_bounded():
     env = make_custom_tail((0.9, 0.9), 0.5)
-    assert classify_bounded(env) is Classification.TRANSIENT_RIGHT
+    assert classify_periodic(env) is Classification.TRANSIENT_RIGHT
 
 
 def test_positive_drift_classifier_threshold():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from erwlab import kks
-from erwlab.environments import make_bounded, make_custom_tail, make_periodic
+from erwlab.environments import make_bounded, make_custom_tail, make_periodic, parse_env
 from erwlab.kks import (
     _KEY_ROWS,
     _TABLE_CAP,
@@ -23,7 +23,7 @@ from erwlab.kks import (
     _InverseCdf,
     _cached_table,
     _chain_table,
-    _prefix_tail_draws,
+    _samplers,
     asymptotic_mu,
     empirical_ladder,
     exact_U_distribution,
@@ -252,11 +252,32 @@ def test_prefix_tail_route_frequencies_match_dp():
     assert abs(_chi_square_z(env, x, draws)) < 4.0
 
 
+@pytest.mark.parametrize("x", [1, 7, 40])
+def test_prefix_then_cycle_draws_match_dp(x):
+    # The prefix stage hands the failures still needed to the cycle's
+    # dyadic route, started at cycle slot 0.
+    env = parse_env("tail:0.7,0.3,0.95@0.8,0.3,0.4,0.5")
+    rng = substream(S, TAG_GENERAL, 31, x)
+    assert abs(_chi_square_z(env, x, sample_U_many(env, x, 200_000, rng))) < 4.0
+    singles = np.array([sample_U(env, x, rng) for _ in range(10_000)])
+    assert abs(_chi_square_z(env, x, singles)) < 4.0
+
+
+def test_one_sampler_cache_entry_per_pile():
+    # A prefix pile keeps its cycle's route in its own entry, and a pile
+    # without a prefix is served by its cycle's route directly.
+    _samplers.cache_clear()
+    sample_U_many(parse_env("tail:0.9,0.9@0.9,0.1"), 300, 10, substream(S, TAG_GENERAL, 32))
+    assert _samplers.cache_info().currsize == 1
+    many = _samplers(make_periodic((0.9, 0.1)))[1]
+    assert many.__func__ is _DyadicSampler.draw
+
+
 def test_heterogeneous_targets_share_one_call():
     env = make_bounded((0.9, 0.9))
     rng = substream(S, TAG_GENERAL, 24)
     xs = np.array([3, 40, 7, 40, 3] * 20_000, dtype=np.int64)
-    draws = _prefix_tail_draws(env, xs, len(xs), rng)
+    draws = _samplers(env)[1](xs, rng)
     for x in (3, 7, 40):
         sel = draws[xs == x]
         d = exact_U_distribution(env, int(x), tail_eps=1e-13)
@@ -301,8 +322,13 @@ def test_draws_concentrate_at_the_drift_rate():
 
 @pytest.mark.parametrize(
     "env",
-    [make_periodic((0.7, 0.7)), make_periodic((0.9, 0.1)), make_custom_tail((0.9, 0.2), 0.4)],
-    ids=["constant", "periodic", "prefix-tail"],
+    [
+        make_periodic((0.7, 0.7)),
+        make_periodic((0.9, 0.1)),
+        make_custom_tail((0.9, 0.2), 0.4),
+        parse_env("tail:0.9,0.9@0.9,0.1"),
+    ],
+    ids=["constant", "periodic", "prefix-tail", "prefix-cycle"],
 )
 def test_empty_batch_is_an_empty_array(env):
     rng = substream(S, TAG_GENERAL, 29)

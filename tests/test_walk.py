@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from erwlab.environments import make_bounded, make_periodic
+from erwlab.environments import make_bounded, make_periodic, parse_env
 from erwlab.kks import sample_U
 from erwlab.seeding import DEFAULT_SEED, TAG_CROSSINGS, TAG_GENERAL, TAG_WALK, substream
 from erwlab.walk import edge_crossings, ensemble_summary, ensemble_walks, run_walk
@@ -21,8 +21,13 @@ S = DEFAULT_SEED
 
 PILES = pytest.mark.parametrize(
     "env",
-    [make_periodic((0.9, 0.1)), make_periodic((0.7, 0.3, 0.4)), make_bounded((0.9, 0.8))],
-    ids=["per2", "per3", "bounded"],
+    [
+        make_periodic((0.9, 0.1)),
+        make_periodic((0.7, 0.3, 0.4)),
+        make_bounded((0.9, 0.8)),
+        parse_env("tail:0.2,0.9@0.9,0.1,0.4"),
+    ],
+    ids=["per2", "per3", "bounded", "prefix-cycle"],
 )
 
 
