@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from typing import Any, Optional, Sequence
@@ -118,8 +117,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
         "classification": diag.classification.value,
         "method": "exact",
         "p_bar": diag.p_bar,
-        # JSON has no infinity: a cycle of ones has no finite drift.
-        "mu": diag.mu if math.isfinite(diag.mu) else None,
+        "mu": diag.mu,
         "rho": diag.rho,
         "nu": diag.nu,
         "theta_right": diag.theta_right,

@@ -63,6 +63,10 @@ class CookieEnvironment:
     ``cycle`` holds at least one entry and ``prefix`` may be empty;
     ``period`` is the cycle's length.  ``exact_prefix`` and
     ``exact_cycle`` carry optional exact rationals for the same entries.
+    A prefix entry equal to the cycle's last entry is the cycle begun one
+    cookie early, so construction moves it into the cycle (rotated):
+    ``tail:0.1@0.9,0.1`` is ``periodic:0.1,0.9``, and the prefix is empty
+    exactly when the pile is periodic.
     """
 
     prefix: tuple[float, ...]
@@ -76,6 +80,17 @@ class CookieEnvironment:
         for p in self.prefix + self.cycle:
             if math.isnan(p) or p < 0.0 or p > 1.0:
                 raise ValueError(f"cookie value {p!r} outside [0, 1]")
+        prefix, cycle = self.prefix, self.cycle
+        ep, ec = self.exact_prefix, self.exact_cycle
+        while prefix and prefix[-1] == cycle[-1]:
+            prefix, cycle = prefix[:-1], cycle[-1:] + cycle[:-1]
+            if ec is not None:
+                ec = ec[-1:] + ec[:-1]
+        if ep is not None:
+            ep = ep[: len(prefix)] or None
+        for name, value in (("prefix", prefix), ("cycle", cycle),
+                            ("exact_prefix", ep), ("exact_cycle", ec)):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         # Equal piles have equal floats, so this agrees with ==; hashing
@@ -117,14 +132,12 @@ class CookieEnvironment:
 
     def predicates(self) -> EnvPredicates:
         values = self.prefix + self.cycle
-        c, k = self.cycle, len(self.prefix)
+        c = self.cycle
         return EnvPredicates(
             elliptic=all(0.0 < v < 1.0 for v in values),
             positive=all(v >= 0.5 for v in values),
             bounded=all(p == 0.5 for p in c),
-            # The pile repeats with period M when each prefix entry equals
-            # the cookie M visits later, which is the cycle entry it leads to.
-            periodic=all(p == c[(i - k) % len(c)] for i, p in enumerate(self.prefix)),
+            periodic=not self.prefix,
             # Infinitely many of each cycle entry occur, so both cookie
             # sums diverge iff some entry is interior, or entries straddle
             # the endpoints.

@@ -47,7 +47,7 @@ def _require_nondegenerate(env: CookieEnvironment) -> None:
 def _constant_value(env: CookieEnvironment) -> Optional[float]:
     """Cookie value if the pile is a single repeated constant."""
     first = env.cycle[0]
-    return first if all(p == first for p in env.prefix + env.cycle) else None
+    return first if not env.prefix and all(p == first for p in env.cycle) else None
 
 
 # ---------------------------------------------------------------------
@@ -419,6 +419,20 @@ def _cycle_route(env: CookieEnvironment) -> tuple[Callable, Callable]:
     return dy.draw_one, dy.draw
 
 
+def _prefix_trials(prefix: tuple[float, ...], xs: "int | np.ndarray",
+                   size: Optional[int], rng: np.random.Generator) -> tuple:
+    """One shared Bernoulli trial per prefix cookie: the successes that
+    count toward U(x), and the failures still needed after the prefix.
+    Scalars when ``size`` is None, one entry per target otherwise."""
+    out = fails = 0
+    for p in prefix:
+        u = rng.random(size)
+        open_ = fails < xs
+        out += (u < p) & open_
+        fails += (u >= p) & open_
+    return out, xs - fails
+
+
 @lru_cache(maxsize=4)
 def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
     """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw and
@@ -426,32 +440,29 @@ def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
 
     The one place that checks a pile and picks its route: the checks
     cost O(M), so they run once per pile, and a cycle's dyadic levels
-    are kept with its samplers.  A constant pile, and a pile without a
-    prefix, is its cycle's route.  Otherwise the prefix's cookies take
-    one shared Bernoulli trial each, and the failures still needed come
-    from the cycle's route, held in this entry; draws for rows that need
-    none are made at x = 1 and dropped, so the batch is one call.
+    are kept with its samplers.  A pile without a prefix is its cycle's
+    route.  Otherwise ``_prefix_trials`` runs the prefix, and the
+    failures still needed come from the cycle's route, held in this
+    entry; in a batch, draws for rows that need none are made at x = 1
+    and dropped, so the batch is one call.
     """
     _require_nondegenerate(env)
     cycle_one, cycle_many = _cycle_route(env)
-    if _constant_value(env) is not None or not env.prefix:
+    if not env.prefix:
         return cycle_one, cycle_many
 
+    def one(x: int, rng: np.random.Generator) -> int:
+        out, rem = _prefix_trials(env.prefix, x, None, rng)
+        return int(out) + (cycle_one(rem, rng) if rem > 0 else 0)
+
     def many(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        fails = np.zeros(len(xs), dtype=np.int64)
-        out = np.zeros(len(xs), dtype=np.int64)
-        for p in env.prefix:
-            open_ = fails < xs
-            right = rng.random(len(xs)) < p
-            out += right & open_
-            fails += ~right & open_
-        rem = xs - fails
+        out, rem = _prefix_trials(env.prefix, xs, len(xs), rng)
         needs = rem > 0
         if np.any(needs):
             out += np.where(needs, cycle_many(np.maximum(rem, 1), rng), 0)
         return out
 
-    return lambda x, rng: int(many(np.full(1, x, dtype=np.int64), rng)[0]), many
+    return one, many
 
 
 def sample_U_many(

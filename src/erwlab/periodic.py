@@ -242,22 +242,21 @@ class PeriodicDiagnostics:
 def classify_periodic(env: CookieEnvironment) -> Classification:
     """Recurrence/transience trichotomy for every pile.
 
-    Mean cookie of the cycle above 1/2 gives right transience, below 1/2
-    left transience.  At exactly 1/2 the pile must be elliptic, and the
-    sign is decided by theta: above 1 for the environment itself means
-    right transience, above 1 for the mirrored environment left
-    transience, otherwise the walk is recurrent (theta equal to 1
-    included).
+    The pile must be elliptic.  Mean cookie of the cycle above 1/2 gives
+    right transience, below 1/2 left transience.  At exactly 1/2 the sign
+    is decided by theta: above 1 for the environment itself means right
+    transience, above 1 for the mirrored environment left transience,
+    otherwise the walk is recurrent (theta equal to 1 included).
     """
     return diagnostics(env).classification
 
 
 def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     """Classification together with every intermediate quantity."""
+    _require_elliptic(env)
     exact = _exact_pass(env)
     critical = env.is_critical()
     if critical:
-        _require_elliptic(env)
         label = _compare_with_one(exact.theta_right, exact.theta_left)
     elif env.mean_cookie() > 0.5:
         label = Classification.TRANSIENT_RIGHT

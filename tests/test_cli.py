@@ -98,16 +98,14 @@ def test_classify_payload_has_one_shape_for_every_pile(capsys):
     assert r["theta_right"] == pytest.approx(14.0 / 3.0)
 
 
-def test_off_critical_non_elliptic_pile_classifies(capsys):
-    # Ellipticity matters only where theta decides; a cycle of ones has
-    # no finite drift, which JSON writes as null.
-    r = _run_json(capsys, ["classify", "--env", "periodic:1.0,0.2"])["result"]
-    assert r["classification"] == "TransientRight"
-    assert r["mu"] == pytest.approx(1.5)
-    r = _run_json(capsys, ["classify", "--env", "tail:0.9@1.0"])["result"]
-    assert r["classification"] == "TransientRight"
-    assert r["mu"] is None
-    code, out, err = _run(capsys, ["classify", "--env", "bounded:1.0"])
+@pytest.mark.parametrize(
+    "literal", ["periodic:0.0,1.0,1.0", "tail:0.0@0.9", "tail:0.9@1.0", "bounded:1.0"]
+)
+def test_non_elliptic_pile_is_refused(capsys, literal):
+    # The mean-cookie rule needs ellipticity off criticality too: on
+    # periodic:0.0,1.0,1.0 (mean 2/3) and tail:0.0@0.9 every first visit
+    # steps left, so the walk runs to -infinity.
+    code, out, err = _run(capsys, ["classify", "--env", literal])
     assert code == 2 and out == ""
     assert "elliptic" in err
 
@@ -117,6 +115,9 @@ def test_analyze_rejects_a_prefix(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("erwlab: error:") and "prefix" in err
+    # A prefix that continues the cycle is the periodic pile it reads as.
+    code, out, err = _run(capsys, ["analyze", "--env", "tail:0.1@0.9,0.1"])
+    assert code == 0 and err == ""
 
 
 def test_analyze_emits_chain_csv(capsys, tmp_path):

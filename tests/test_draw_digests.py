@@ -62,10 +62,18 @@ def test_walk_draws_are_pinned():
     assert _sha(parts) == "32d589a1343d25ff68ae6aa0d3850471a74d2466066bb17f8ffa5b2c3d258c1f"
 
 
-def test_chain_draws_are_pinned():
-    env = parse_env("periodic:0.9,0.1")
+@pytest.mark.parametrize(
+    "literal,digest",
+    [
+        ("periodic:0.9,0.1", "77c154827644628c6f047ff29b3538ec0633b374d1c0160d9e127fdcd4b1aabb"),
+        ("bounded:0.9,0.9", "0ccdf8919e67b6954413dbd6c1275a35986945c4e34ebb432f52b0af8d7acc72"),
+        ("tail:0.9,0.2@0.4", "40396e0c39e82459cfeedf0578b15052423a13447f3bd705ef735a59da48ad50"),
+    ],
+)
+def test_chain_draws_are_pinned(literal, digest):
+    env = parse_env(literal)
     parts = []
     for direction in ("right", "left"):
         res = simulate_Z_ensemble(env, direction, 200, 400, master_seed=S)
         parts += [res.death_steps, res.escaped]
-    assert _sha(parts) == "77c154827644628c6f047ff29b3538ec0633b374d1c0160d9e127fdcd4b1aabb"
+    assert _sha(parts) == digest

@@ -46,7 +46,16 @@ def test_cookie_at_prefix_then_cycle():
 
 def test_prefix_that_continues_the_cycle_is_periodic():
     # 0.1, then 0.9, 0.1 repeating, is the pile 0.1, 0.9, 0.1, 0.9, ...
-    assert parse_env("tail:0.1@0.9,0.1").predicates().periodic
+    env = parse_env("tail:0.1@0.9,0.1")
+    assert env == parse_env("periodic:1/10,9/10") and env.prefix == ()
+    assert env.exact_cycle == (Fraction(1, 10), Fraction(9, 10))
+    assert env.predicates().periodic and format_env(env) == "periodic:0.1,0.9"
+    assert parse_env("tail:0.9,0.1@0.9,0.1") == parse_env("periodic:0.9,0.1")
+    assert parse_env("tail:0.7,0.3@0.9,0.2,0.3") == parse_env("tail:0.7@0.3,0.9,0.2")
+    assert make_custom_tail((0.6, 0.6), 0.6) == make_periodic((0.6,))
+    # Only the entries that continue the cycle move into it.
+    env = parse_env("bounded:0.9,0.5,0.5")
+    assert env == parse_env("bounded:0.9") and env.exact_prefix == (Fraction(9, 10),)
     assert not parse_env("tail:0.9@0.9,0.1").predicates().periodic
 
 
