@@ -37,6 +37,8 @@ from .seeding import TAG_ZSIM, default_seed, substream
 # Mass below this per-row threshold is trimmed from sampler tables; the
 # exact oracle is the precision route and never trims this way.
 _ROW_TAIL = 1e-15
+# The oracle's window floor: only exact zeros lie below it.
+_LEAST_SUBNORMAL = 5e-324
 
 
 def _require_nondegenerate(env: CookieEnvironment) -> None:
@@ -99,7 +101,7 @@ def _failure_counts(env: CookieEnvironment, size: int, floor: float,
     f < ``size``; mass reaching ``size`` failures leaves.  ``live`` is kept
     on a window [lo, hi) whose ends never move back: lo steps past entries
     below ``floor``, and hi opens the next count once the chance flowing
-    into it reaches ``floor`` (0 drops nothing).  Trial n, with failure
+    into it reaches ``floor``.  Trial n, with failure
     chance q_n, yields ``(lo, chances)``: failure lo + i + 1 lands on it
     with chance ``chances[i] = q_n * live[lo + i]``.  The sweep stops once
     the window holds less than ``tail_eps``, read every 32 trials.
@@ -134,8 +136,9 @@ def exact_U_distribution(
 
     Trial n consumes cookie n of the pile.  The x-th failure landing on
     trial n gives the success count n - x; ``_failure_counts`` runs
-    untrimmed until the mass still short of x failures drops below
-    ``tail_eps``.
+    until the mass still short of x failures drops below ``tail_eps``.
+    Its window floor is the least subnormal, so it trims exact zeros
+    only: no mass is lost, and every mass is the untrimmed recursion's.
     """
     _require_nondegenerate(env)
     if x < 0:
@@ -144,9 +147,11 @@ def exact_U_distribution(
         raise ValueError("tail_eps must be positive")
     if x == 0:
         return UDistribution(0, 1, np.array([1.0]), 0.0)
-    # From trial x on the window is [0, x), so its last chance is failure x's.
-    steps = enumerate(_failure_counts(env, x, 0.0, tail_eps), 1)
-    masses = [chances[-1] for n, (_, chances) in steps if n >= x]
+    # Failure x can land on trial n only once the window reaches x - 1;
+    # while its top is below, failure x's chance is exactly 0.
+    steps = enumerate(_failure_counts(env, x, _LEAST_SUBNORMAL, tail_eps), 1)
+    masses = [chances[-1] if lo + len(chances) == x else 0.0
+              for n, (lo, chances) in steps if n >= x]
     return UDistribution(x, 0, np.array(masses), max(0.0, 1.0 - math.fsum(masses)))
 
 

@@ -7,7 +7,10 @@ of cookie j+1 of the pile and left otherwise.
 The lockstep engine behind ``ensemble_walks`` and ``edge_crossings``
 stores them reduced to a cookie state (a prefix position, or a cycle
 slot once the prefix is used up), since only the active cookie matters;
-both consume one uniform per step, so they walk the same path.
+both consume one uniform per step, so they walk the same path.  The
+engine's step loop only walks, recording each row's path for a chunk of
+steps; returns, extremes, first hits, recorded positions and crossings
+are reduced from that path once per chunk.
 
 Every trial draws from its own substream keyed by the master seed, a
 stream tag and the trial index, and results are reduced in trial order,
@@ -103,25 +106,31 @@ def run_walk(
 def _cookie_tables(env: CookieEnvironment) -> tuple[np.ndarray, np.ndarray]:
     """(probability by reduced count, next reduced count) lookup tables:
     the prefix's states, then the cycle's, whose last state leads back to
-    the cycle's first."""
+    the cycle's first.  States take the narrowest unsigned dtype that
+    holds them all."""
     probs = np.asarray(env.prefix + env.cycle, dtype=float)
-    nxt = np.arange(1, len(probs) + 1, dtype=np.int64)
+    nxt = np.arange(1, len(probs) + 1)
     nxt[-1] = len(env.prefix)
-    return probs, nxt
+    return probs, nxt.astype(np.min_scalar_type(len(probs) - 1))
 
 
 class _Grid:
-    """Resizable occupation-count grid for a group of walkers."""
+    """Resizable occupation-count grid for a group of walkers.
 
-    def __init__(self, width: int, half: int = 2048):
+    Cells hold reduced counts of ``dtype``, the dtype of the pile's state
+    table.  ``counts`` is always C-contiguous, so ``counts.reshape(-1)``
+    is a view of it.
+    """
+
+    def __init__(self, width: int, dtype: np.dtype, half: int = 2048):
         self.half = half
-        self.counts = np.zeros((width, 2 * half + 1), dtype=np.int16)
+        self.counts = np.zeros((width, 2 * half + 1), dtype=dtype)
 
     def ensure(self, amplitude: int) -> None:
         while amplitude >= self.half:
             old = self.counts
             half = 2 * self.half
-            grown = np.zeros((old.shape[0], 2 * half + 1), dtype=np.int16)
+            grown = np.zeros((old.shape[0], 2 * half + 1), dtype=old.dtype)
             off = half - self.half
             grown[:, off : off + old.shape[1]] = old
             self.counts = grown
@@ -148,11 +157,21 @@ def _lockstep(
     ``crossings`` (right steps from each of ``edges`` before the first
     hit of -1; no columns without ``edges``).
 
+    Steps run in chunks that double from 64 up to ``_STEP_CHUNK``.  Each
+    step only walks: it reads and advances the cookie state of every
+    row's grid cell, compares the row's uniform with that cookie, and
+    stores the row's next cell in the chunk's path buffer.  The buffer
+    holds flat ``int64`` cell indices, since those are what the next
+    step's lookup takes (an ``int32`` index is widened on every lookup,
+    which costs more than its buffer saves); at (chunk + 1, rows) it is
+    the size of the chunk's uniforms, at most 8 MiB for 1024 rows.  The
+    path statistics above are reduced from it once per chunk.
+
     With ``edges`` given the walk is killed at -1: rows that have hit it
-    are dropped at the end of each chunk, and the chunk ends once every
-    row has hit it.  Of a killed row only ``first_m1`` and ``crossings``
-    are meaningful.  Each row draws its chunk of uniforms from its own
-    substream, so dropping rows changes no other row's draws.
+    are dropped at the end of each chunk, after walking on to its end.
+    Of a killed row only ``first_m1`` and ``crossings`` are meaningful.
+    Each row draws its chunk of uniforms from its own substream, so
+    dropping rows changes no other row's draws.
     """
     probs, nxt = _cookie_tables(env)
     killed = edges is not None
@@ -171,39 +190,51 @@ def _lockstep(
     }
     out = {name: np.empty_like(a) for name, a in state.items()}
     live = np.arange(width)
-    grid = _Grid(width)
+    grid = _Grid(width, nxt.dtype)
     # Chunks double up to _STEP_CHUNK, so killed rows that die early are
     # dropped early; a row's draws do not depend on the chunk sizes.
     done, chunk = 0, 64
     while done < steps and len(live) > 0:
         cs = min(chunk, steps - done)
         chunk = min(2 * chunk, _STEP_CHUNK)
-        u = np.stack([gens[i].random(cs) for i in live])
+        u = np.stack([gens[i].random(cs) for i in live], axis=1)
         pos, minpos, maxpos, returns, first_m1, rec, crossings = state.values()
-        alive = first_m1 < 0
         grid.ensure(int(np.max(np.abs(pos))) + cs + 1)
-        counts, half, rows = grid.counts, grid.half, np.arange(len(live))
+        flat = grid.counts.reshape(-1)
+        origin = np.arange(len(live)) * grid.counts.shape[1] + grid.half
+        # Row s of ``path`` is every walker's cell in ``flat`` after step
+        # done + s; row 0 is the chunk's start.
+        path = np.empty((cs + 1, len(live)), dtype=np.int64)
+        np.add(origin, pos, out=path[0])
         for s in range(cs):
-            k = done + s + 1
-            col = pos + half
-            c = counts[rows, col]
-            counts[rows, col] = nxt[c]
-            right = u[:, s] < probs[c]
-            if killed:
-                crossings += (pos[:, None] == lefts) & (right & alive)[:, None]
-            np.add(pos, np.where(right, 1, -1), out=pos)
-            returns += pos == 0
-            hit = alive & (pos == -1)
-            if np.any(hit):
-                first_m1[hit] = k
-                alive = first_m1 < 0
-                if killed and not alive.any():
-                    break
-            np.minimum(minpos, pos, out=minpos)
-            np.maximum(maxpos, pos, out=maxpos)
-            if record_every and k % record_every == 0:
-                rec[:, k // record_every] = pos
+            at = path[s]
+            c = flat[at]
+            flat[at] = nxt[c]
+            np.add(at, np.where(u[s] < probs[c], 1, -1), out=path[s + 1])
+        del u, at, c
+
+        path -= origin
+        prev, walked = path[:-1], path[1:]
+        pos[:] = path[-1]
+        np.minimum(minpos, path.min(axis=0), out=minpos)
+        np.maximum(maxpos, path.max(axis=0), out=maxpos)
+        returns += np.count_nonzero(walked == 0, axis=0)
+        if record_every:
+            lo, hi = done // record_every + 1, (done + cs) // record_every
+            rec[:, lo : hi + 1] = path[lo * record_every - done :: record_every].T
+        fresh = np.flatnonzero(first_m1 < 0)
+        at_m1 = walked[:, fresh] == -1
+        stop = np.where(at_m1.any(axis=0), at_m1.argmax(axis=0), cs)
+        hit = stop < cs
+        first_m1[fresh[hit]] = done + stop[hit] + 1
+        if killed:
+            # Every killed row is fresh: rows that hit -1 are dropped.
+            right = (walked > prev) & (np.arange(cs)[:, None] < stop)
+            for j, e in enumerate(lefts):
+                crossings[:, j] += np.count_nonzero(right & (prev == e), axis=0)
+        del path, prev, walked
         done += cs
+        alive = first_m1 < 0
         if killed and not alive.all():
             for name, a in state.items():
                 out[name][live[~alive]] = a[~alive]

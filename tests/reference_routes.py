@@ -44,6 +44,23 @@ def sample_U_reference(env: CookieEnvironment, x: int, rng: np.random.Generator)
     return succ
 
 
+def full_forward_U_masses(env: CookieEnvironment, x: int, trials: int) -> np.ndarray:
+    """P(U(x) = n - x) for n = x, ..., ``trials``: the forward
+    failure-count recursion over every count below x at every trial,
+    with no window and nothing trimmed."""
+    live = np.zeros(x)
+    live[0] = 1.0
+    masses = []
+    for n in range(1, trials + 1):
+        c = env.cookie_at(n)
+        chances = (1.0 - c) * live
+        live *= c
+        live[1:] += chances[:-1]
+        if n >= x:
+            masses.append(chances[-1])
+    return np.array(masses)
+
+
 def bpm_step_samples(
     model: BpmModel, x: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:

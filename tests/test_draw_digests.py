@@ -51,15 +51,29 @@ def test_step_draws_are_pinned(literal, digest):
     assert _sha(parts) == digest
 
 
-def test_walk_draws_are_pinned():
-    env = parse_env("bounded:0.9,0.8")
-    traces = ensemble_walks(env, 600, 12, master_seed=S, record_every=50)
+def _trace_parts(traces) -> list:
     parts = [(t.final_position, t.max_abs_position, t.returns_to_origin,
               t.first_hit_minus1, t.distinct_sites) for t in traces]
-    parts += [t.positions for t in traces]
+    return parts + [t.positions for t in traces]
+
+
+def test_walk_draws_are_pinned():
+    env = parse_env("bounded:0.9,0.8")
+    parts = _trace_parts(ensemble_walks(env, 600, 12, master_seed=S, record_every=50))
     counts, censored = edge_crossings(env, 40, 3_000, edges=(0, 1, 3), master_seed=S)
     parts += [counts, censored.astype(np.int64)]
-    assert _sha(parts) == "32d589a1343d25ff68ae6aa0d3850471a74d2466066bb17f8ffa5b2c3d258c1f"
+    # Every position of a periodic walk whose steps end mid-chunk, and
+    # the crossings of a transient pile whose trials die in every chunk.
+    every = _trace_parts(ensemble_walks(parse_env("periodic:0.9,0.1"), 1_000, 12,
+                                        master_seed=S, record_every=1))
+    counts, censored = edge_crossings(parse_env("periodic:0.9,0.9,0.1,0.1"), 40, 3_000,
+                                      edges=(0, 1, 2), master_seed=S)
+    digests = [_sha(parts), _sha(every), _sha([counts, censored.astype(np.int64)])]
+    assert digests == [
+        "32d589a1343d25ff68ae6aa0d3850471a74d2466066bb17f8ffa5b2c3d258c1f",
+        "164e000c6e9f45f5a1e1d67f4435cd6e66d275bf9924e5ebe6f4a9bb963ac7b9",
+        "05fe0b4c50f212e947e042d15f7a27ac84d4c469042a6d30c1ad8f24b5a9a6da",
+    ]
 
 
 @pytest.mark.parametrize(

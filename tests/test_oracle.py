@@ -19,6 +19,7 @@ from erwlab.environments import (
     make_bounded,
     make_custom_tail,
     make_periodic,
+    parse_env,
 )
 from erwlab.kks import (
     OracleHorizonError,
@@ -27,6 +28,7 @@ from erwlab.kks import (
     exact_moments,
 )
 from erwlab.periodic import diagnostics
+from reference_routes import full_forward_U_masses
 
 
 def _mass_by_failure_placement(env, x, k):
@@ -180,6 +182,24 @@ def test_near_degenerate_tail_raises_horizon_error():
     env = make_custom_tail((0.5,), 1.0 - 1e-9)
     with pytest.raises(OracleHorizonError):
         exact_U_distribution(env, 1, tail_eps=1e-12)
+
+
+@pytest.mark.parametrize("x", [1, 40, 3_000])
+@pytest.mark.parametrize(
+    "literal",
+    ["periodic:0.9,0.1", "periodic:0.0,0.6,0.7", "periodic:1.0,0.2",
+     "tail:0.2,0.9@0.9,0.1,0.4", "bounded:0.9,0.8"],
+)
+def test_windowed_dp_equals_the_untrimmed_dp_bit_for_bit(literal, x):
+    # The window skips exact zeros only, so every mass and the tail bound
+    # are the plain recursion's, to the last bit.  A sure cookie (1.0)
+    # sends no mass to the next failure count, so the window's top lags
+    # x for a while.
+    d = exact_U_distribution(parse_env(literal), x)
+    full = full_forward_U_masses(parse_env(literal), x, x + len(d.mass) - 1)
+    assert d.support_offset == 0
+    assert d.mass.tobytes() == full.tobytes()
+    assert d.tail_bound == max(0.0, 1.0 - math.fsum(full.tolist()))
 
 
 def test_rejects_bad_arguments():

@@ -12,10 +12,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from erwlab.environments import make_bounded, make_periodic, parse_env
+from erwlab.environments import CookieEnvironment, make_bounded, make_periodic, parse_env
 from erwlab.kks import sample_U
 from erwlab.seeding import DEFAULT_SEED, TAG_CROSSINGS, TAG_GENERAL, TAG_WALK, substream
-from erwlab.walk import edge_crossings, ensemble_summary, ensemble_walks, run_walk
+from erwlab.walk import (
+    _cookie_tables,
+    _Grid,
+    edge_crossings,
+    ensemble_summary,
+    ensemble_walks,
+    run_walk,
+)
 
 S = DEFAULT_SEED
 
@@ -113,6 +120,20 @@ def test_reduced_and_full_counts_walk_the_same_path(env):
         assert np.array_equal(traces[i].positions, solo.positions)
 
 
+def test_cookie_states_past_int16_do_not_wrap():
+    # 40,000 prefix cookies: a site reaches state 32,768 only after that
+    # many visits, so the grid's dtype is checked without walking there.
+    env = CookieEnvironment(prefix=(0.9, 0.1) * 20_000, cycle=(0.5,))
+    probs, nxt = _cookie_tables(env)
+    grid = _Grid(1, nxt.dtype)
+    grid.counts[0, :3] = nxt[[32_767, 39_999, 40_000]]
+    assert grid.counts[0, :3].tolist() == [32_768, 40_000, 40_000]
+    grid.ensure(5_000)
+    assert grid.counts.dtype == nxt.dtype and len(probs) == 40_001
+    traces = ensemble_walks(env, 300, 2, master_seed=S)
+    assert traces[1] == run_walk(env, 300, substream(S, TAG_WALK, 1))
+
+
 def test_strong_right_drift_shows_in_the_ensemble():
     env = make_periodic((0.9, 0.9))
     summary = ensemble_summary(ensemble_walks(env, 2_000, 300, master_seed=S))
@@ -164,6 +185,17 @@ def test_edge_crossings_match_chain_law():
     assert d2.pvalue > 0.01
 
 
+def _scalar_crossings(env, cap, edges, trial):
+    """Right steps from each edge before the first hit of -1, and that
+    hit's step, from the scalar walk on the trial's crossing substream."""
+    solo = run_walk(env, cap, substream(S, TAG_CROSSINGS, trial), record_every=1)
+    assert solo.positions is not None
+    stop = cap if solo.first_hit_minus1 is None else solo.first_hit_minus1
+    here, there = solo.positions[:stop], solo.positions[1 : stop + 1]
+    right = there == here + 1
+    return [int(np.sum(right & (here == e))) for e in edges], solo.first_hit_minus1
+
+
 def test_edge_crossings_rows_reproduce_scalar_substream_runs():
     # Transient pile and a cap spanning several step chunks: some trials
     # hit -1 in the first chunk, some in a later one, some are censored.
@@ -172,17 +204,59 @@ def test_edge_crossings_rows_reproduce_scalar_substream_runs():
     counts, censored = edge_crossings(env, n, cap, edges=edges, master_seed=S)
     deaths = []
     for i in range(n):
-        solo = run_walk(env, cap, substream(S, TAG_CROSSINGS, i), record_every=1)
-        assert solo.positions is not None
-        stop = cap if solo.first_hit_minus1 is None else solo.first_hit_minus1
-        here, there = solo.positions[:stop], solo.positions[1 : stop + 1]
-        right = there == here + 1
-        expect = [int(np.sum(right & (here == e))) for e in edges]
+        expect, death = _scalar_crossings(env, cap, edges, i)
         assert counts[i].tolist() == expect
-        assert censored[i] == (solo.first_hit_minus1 is None)
-        deaths.append(solo.first_hit_minus1)
+        assert censored[i] == (death is None)
+        deaths.append(death)
     hit = [d for d in deaths if d is not None]
     assert min(hit) < 64 and max(hit) > 1_024 and None in deaths
+
+
+# Chunks of the lockstep engine end after steps 64, 192, 448, 960, ...
+# A walk first hits -1 on an odd step, so these trials' first hits are
+# the odd steps next to a chunk's end, or the last step of a walk cut
+# short of one.
+WALK_EDGE_HITS = {27: 63, 321: 65, 2_787: 191, 876: 193, 575: 447}
+KILLED_EDGE_HITS = {259: 63, 746: 65, 1_442: 191}
+
+
+@pytest.mark.parametrize("steps,record_every", [(447, 1), (3_100, 1), (3_100, 1_500)])
+def test_ensemble_rows_match_the_scalar_walk_at_chunk_edges(steps, record_every):
+    env = make_periodic((0.7, 0.3, 0.4))
+    traces = ensemble_walks(env, steps, max(WALK_EDGE_HITS) + 1, master_seed=S,
+                            record_every=record_every)
+    for i, hit in WALK_EDGE_HITS.items():
+        solo = run_walk(env, steps, substream(S, TAG_WALK, i), record_every=record_every)
+        assert solo.first_hit_minus1 == hit
+        assert traces[i] == solo
+        assert np.array_equal(traces[i].positions, solo.positions)
+        if i == 321 and record_every == 1:
+            # it hits -1 again within the chunk of its first hit
+            assert np.count_nonzero(solo.positions[65:193] == -1) >= 2
+
+
+def test_killed_rows_match_the_scalar_walk_at_chunk_edges():
+    # The cap ends the second chunk one step early, on trial 1442's death.
+    # A killed row walks on to its chunk's end, but no step after its
+    # death counts, so edge -1 has no crossings.
+    env = make_periodic((0.9, 0.9, 0.1, 0.1))
+    cap, edges = 191, (-1, 0, 1, 2)
+    counts, censored = edge_crossings(env, max(KILLED_EDGE_HITS) + 1, cap, edges=edges,
+                                      master_seed=S)
+    for i, hit in KILLED_EDGE_HITS.items():
+        expect, death = _scalar_crossings(env, cap, edges, i)
+        assert death == hit
+        assert counts[i].tolist() == expect and not censored[i]
+
+
+def test_killed_group_dying_in_the_first_chunk_matches_the_scalar_walk():
+    env = make_periodic((0.2, 0.4))
+    n, cap, edges = 16, 3_000, (-1, 0, 1)
+    counts, censored = edge_crossings(env, n, cap, edges=edges, master_seed=S)
+    for i in range(n):
+        expect, death = _scalar_crossings(env, cap, edges, i)
+        assert death is not None and death < 64
+        assert counts[i].tolist() == expect and not censored[i]
 
 
 def test_crossing_counts_censor_at_the_cap():
