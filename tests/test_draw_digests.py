@@ -14,6 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from erwlab import kks
+from erwlab.bpm import BpmModel, parse_migration, parse_offspring, simulate_bpm
 from erwlab.environments import parse_env
 from erwlab.kks import sample_U, sample_U_many, simulate_Z_ensemble
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
@@ -91,3 +93,37 @@ def test_chain_draws_are_pinned(literal, digest):
         res = simulate_Z_ensemble(env, direction, 200, 400, master_seed=S)
         parts += [res.death_steps, res.escaped]
     assert _sha(parts) == digest
+
+
+def test_chain_past_the_table_cap_is_pinned(monkeypatch):
+    # Surviving runs of this theta = 4/3 pile grow past the table's 2048
+    # rows, so the lockstep step sends its largest sizes to the dyadic
+    # sampler, in batches of one row up to a few dozen.
+    sizes = []
+    draw = kks._DyadicSampler.draw
+
+    def counted(self, xs, rng):
+        sizes.append(len(xs))
+        return draw(self, xs, rng)
+
+    monkeypatch.setattr(kks._DyadicSampler, "draw", counted)
+    kks._samplers.cache_clear()  # cached samplers hold the unpatched method
+    try:
+        res = simulate_Z_ensemble(parse_env("periodic:0.9,0.9,0.1,0.1"), "right", 2000, 500,
+                                  master_seed=S)
+    finally:
+        kks._samplers.cache_clear()
+    assert min(sizes) == 1 and max(sizes) > 16
+    assert _sha([res.death_steps, res.escaped]) == (
+        "cabb66b9d0be772fc893c24b575ef10a0713cc9795c45ee623d503fe973ff572")
+
+
+def test_bpm_runs_are_pinned():
+    parts = []
+    for migration in ("const:2", "const:0", "table:0.3,0.2,0.5@0"):
+        model = BpmModel(parse_offspring("geometric:1"), parse_migration(migration))
+        res = simulate_bpm(model, 500, 400, master_seed=S)
+        parts += [res.death_steps, res.escaped]
+    # const:2 never dies: migration alone keeps the population above 0.
+    assert _sha(parts) == (
+        "d2d51df7a5dd8aae86e717fb6e85527099ef65a5ddfcd464ecfa5b27f1739666")
