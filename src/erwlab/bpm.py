@@ -266,23 +266,27 @@ def absorb(
     runs take one ``step`` per iteration while more than ``_FINISH_BATCH``
     are left; the rest then finish one after another through
     ``step_one``.  A run reaching ``esc`` (when given) stops and counts as
-    an escaped survivor.
+    an escaped survivor.  The live sizes are carried from step to step
+    in trial order, and shrink with their trial indices only on a step
+    where a run dies or escapes.
     """
     top = np.iinfo(np.int64).max if esc is None else esc
-    z = np.full(trials, z0, dtype=np.int64)
     death = np.full(trials, -1, dtype=np.int64)
+    # The live runs' trial indices and sizes, in trial order.
     idx = np.arange(trials)
+    z = np.full(trials, z0, dtype=np.int64)
     escaped = 0
     t = 0
     while t < horizon and len(idx) > _FINISH_BATCH:
         t += 1
-        k = step(z[idx], rng)
-        z[idx] = k
-        death[idx[k == 0]] = t
-        escaped += int(np.count_nonzero(k >= top))
-        idx = idx[(k > 0) & (k < top)]
-    for j in idx:
-        zz = int(z[j])
+        z = step(z, rng)
+        live = (z > 0) & (z < top)
+        if not live.all():
+            death[idx[z == 0]] = t
+            escaped += int(np.count_nonzero(z >= top))
+            idx = idx[live]
+            z = z[live]
+    for j, zz in zip(idx.tolist(), z.tolist()):
         for s in range(t + 1, horizon + 1):
             zz = step_one(zz, rng)
             if zz == 0:

@@ -11,7 +11,8 @@ failure when cookies are consumed in pile order.  This module provides
   constant cycle, dyadic block composition otherwise), after one stage
   of shared Bernoulli trials for a prefix; the dyadic levels and the
   chain's table draw through ``_InverseCdf``, packed integer keys
-  searched in one call per key array,
+  searched in one call per key array (the chain's table through a
+  guide),
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -182,6 +183,15 @@ _U_SCALE = float(1 << _U_BITS)
 _ROW_BITS = 64 - _U_BITS
 _KEY_ROWS = 1 << _ROW_BITS
 _PACK_ROWS = 16  # divides _KEY_ROWS
+# Guide tables: 2^_GUIDE_BITS buckets per row, indexed by the top bits of
+# u; a guided lookup counts at most _GUIDE_SPAN keys from its bucket's
+# first.  The guide is built _GUIDE_ROWS rows at a time.
+_GUIDE_BITS = 6
+_GUIDE_SHIFT = _U_BITS - _GUIDE_BITS
+_GUIDE_SPAN = 4
+_GUIDE_ROWS = 64
+# Batches of at most this many queries search unsorted and unguided.
+_SMALL_BATCH = 128
 
 
 def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -190,6 +200,19 @@ def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     order = np.argsort(q)
     pos = np.empty(len(q), dtype=np.int64)
     pos[order] = keys.searchsorted(q[order], side="right")
+    return pos
+
+
+def _guided_search(keys: np.ndarray, guide: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``keys.searchsorted(q, "right")`` through a guide (``_InverseCdf``)."""
+    start = guide[(q >> np.uint64(_GUIDE_SHIFT)).astype(np.int64)].astype(np.int64)
+    pos = start.copy()
+    for i in range(_GUIDE_SPAN):
+        # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
+        pos += keys.take(start + i, mode="clip") <= q
+    far = np.flatnonzero(start < 0)
+    if len(far):
+        pos[far] = keys.searchsorted(q[far], side="right")
     return pos
 
 
@@ -205,8 +228,8 @@ class _InverseCdf:
     the key (r << 53) + ceil(c * 2^53), and u the query (r << 53) + j.
     c <= u exactly when ceil(c * 2^53) <= j, so a right-sided search for
     the query counts the entries of row r at or below u, as a search of
-    the float row would, and a batch is one ``searchsorted`` per key
-    array whatever rows its draws sit in.  Entries of 1.0 or more (cumsum
+    the float row would, and a batch is one search per key array
+    whatever rows its draws sit in.  Entries of 1.0 or more (cumsum
     rounding can lift one just above 1) are dropped: no u < 1 reaches
     them, and their keys would spill into row r + 1.  The row index takes
     the 11 bits above j, so one uint64 key array addresses 2^11 rows;
@@ -218,9 +241,31 @@ class _InverseCdf:
     temporary is large: freeing multi-megabyte temporaries raises
     malloc's mmap threshold, and the fragmented heap then lifts later
     peaks (5 % in the chain benchmark).
+
+    Search: a batch of at most ``_SMALL_BATCH`` queries is one plain
+    ``searchsorted``.  A larger batch is searched in sorted order, or,
+    when the table is ``guided``, through a Chen-Asau guide (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, section III.2.4).
+    Bucket b of row r holds the keys whose j lies in [b, b + 1) * 2^47,
+    and the guide stores the position of its first key.  The query's
+    top 17 bits are its row and bucket, so one gather finds the start,
+    and the answer is the start plus the count of the next
+    ``_GUIDE_SPAN`` keys at or below the query: every key before the
+    start is below the query, every key past the bucket above it.  A
+    bucket with more keys than that (the far tails), or too close to
+    the array's end for the count, stores -1, and its queries take the
+    plain search.  The guide holds one int32 per bucket, 256 bytes per
+    row (512 KiB for the chain table's 2048 rows), and is built 64 rows
+    at a time for the same malloc reason as the keys.  Row ends come
+    from the row starts, never from the key (r + 1) << 53, which wraps
+    to 0 for the last row of a key array.  Only ``_chain_table`` is
+    guided: its 6 MiB of keys miss the cache on a binary search, and
+    its batches of a few thousand rows make a guided lookup (about 60
+    us for 1,200 rows) cheaper than a sorted one (about 110 us).
     """
 
-    def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
+    def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray",
+                 guided: bool = False):
         buf = cdf.view(np.uint64)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         starts = np.empty(len(sizes), dtype=np.int64)
@@ -243,9 +288,38 @@ class _InverseCdf:
                 keys.append(buf[first:end])
         self.keys = tuple(keys)
         self.base = k0 - starts
+        # An empty key array (every row a sure value) has nothing to guide.
+        self.guides = self._guides(starts) if guided and all(map(len, keys)) else None
+
+    def _guides(self, starts: np.ndarray) -> tuple:
+        """One guide per key array: the first key of every bucket, or -1."""
+        buckets = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
+        guides = []
+        for c, keys in enumerate(self.keys):
+            lo = c * _KEY_ROWS
+            hi = min(lo + _KEY_ROWS, len(starts))
+            ends = np.append(starts[lo + 1 : hi], len(keys))
+            guide = np.empty((hi - lo, len(buckets)), dtype=np.int32)
+            for r0 in range(0, hi - lo, _GUIDE_ROWS):
+                r1 = min(r0 + _GUIDE_ROWS, hi - lo)
+                row_keys = np.arange(r0, r1, dtype=np.uint64)[:, None] << _U_BITS
+                first = keys.searchsorted(row_keys | buckets, side="left")
+                last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
+                fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(keys))
+                guide[r0:r1] = np.where(fast, first, -1)
+            guides.append(guide.ravel())
+        return tuple(guides)
 
     def __len__(self) -> int:
         return len(self.base)
+
+    def _search(self, c: int, q: np.ndarray) -> np.ndarray:
+        keys = self.keys[c]
+        if len(q) <= _SMALL_BATCH:
+            return keys.searchsorted(q, side="right")
+        if self.guides is None:
+            return _sorted_search(keys, q)
+        return _guided_search(keys, self.guides[c], q)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One draw from row ``rows[i]`` per uniform ``u[i]``; each u must
@@ -254,12 +328,12 @@ class _InverseCdf:
         q |= (rows.astype(np.uint64) & (_KEY_ROWS - 1)) << _U_BITS
         # Search, then gather base: their temporaries are never alive together.
         if len(self.keys) == 1:
-            return _sorted_search(self.keys[0], q) + self.base[rows]
+            return self._search(0, q) + self.base[rows]
         pos = np.empty(len(q), dtype=np.int64)
         part = rows >> _ROW_BITS
-        for c, k in enumerate(self.keys):
+        for c in range(len(self.keys)):
             sel = np.flatnonzero(part == c)
-            pos[sel] = _sorted_search(k, q[sel])
+            pos[sel] = self._search(c, q[sel])
         return pos + self.base[rows]
 
     def draw_one(self, row: int, u: float) -> int:
@@ -267,6 +341,10 @@ class _InverseCdf:
         q = ((row & (_KEY_ROWS - 1)) << _U_BITS) + int(u * _U_SCALE)
         keys = self.keys[row >> _ROW_BITS]
         return int(self.base[row]) + int(keys.searchsorted(np.uint64(q), side="right"))
+
+
+# Dyadic batches of at most this many rows walk the levels on Python scalars.
+_SCALAR_ROWS = 16
 
 
 class _DyadicLevel(NamedTuple):
@@ -295,7 +373,12 @@ class _DyadicSampler:
     Each level draws through one ``_InverseCdf`` row per start slot, so
     a lookup for a batch is one ``searchsorted`` per key array whatever
     slots the draws sit in.  One key array holds 2^11 slots, so a period
-    above 2048 splits each level over several.
+    above 2048 splits each level over several.  A batch of at most
+    ``_SCALAR_ROWS`` draws (and ``draw_one``, its one-row case) walks the
+    levels on Python scalars instead, with the same uniforms in the same
+    order and so the same draws: a vector walk costs about 200 us
+    whatever its size, mostly numpy call overhead, and a scalar one
+    about 13 us per draw at x near 2500.
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -381,15 +464,38 @@ class _DyadicSampler:
         out[sel] += adv
         state[sel] = (st + adv + (1 << k)) % self.m
 
+    def _walk(self, xs: list[int], rng: np.random.Generator) -> list[int]:
+        """The level walk of a few draws on Python scalars.
+
+        It takes the vector walk's uniforms in the same level-major order
+        (every row's first top block, then every second one, ..., then
+        bit top - 1 of the rows that have it, and so on) from one
+        ``rng.random`` call, and the negative binomials one per row in
+        row order, so its draws are the vector walk's bit for bit.
+        """
+        top = self._top(max(xs, default=1))
+        rows = list(enumerate(xs))
+        plan = [(top, i) for j in range(max(xs, default=0) >> top) for i, x in rows if x >> top > j]
+        plan += [(k, i) for k in range(top - 1, -1, -1) for i, x in rows if x >> k & 1]
+        out = [0] * len(xs)
+        state = [0] * len(xs)
+        for (k, i), u in zip(plan, rng.random(len(plan)).tolist()):
+            adv = self.levels[k].inv.draw_one(state[i], u)
+            out[i] += adv
+            state[i] = (state[i] + adv + (1 << k)) % self.m
+        return [o + self.m * int(rng.negative_binomial(x, self.fail)) for o, x in zip(out, xs)]
+
     def draw(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         if np.any(xs < 1):
             raise ValueError("dyadic sampler serves x >= 1")
-        top = self._top(int(xs.max(initial=1)))
+        if len(xs) <= _SCALAR_ROWS:
+            return np.array(self._walk(xs.tolist(), rng), dtype=np.int64)
+        top = self._top(int(xs.max()))
         out = np.zeros(len(xs), dtype=np.int64)
         state = np.zeros(len(xs), dtype=np.int64)
         blocks = xs >> top
-        for j in range(int(blocks.max(initial=0))):
+        for j in range(int(blocks.max())):
             self._advance(top, np.flatnonzero(blocks > j), out, state, rng)
         for k in range(top - 1, -1, -1):
             self._advance(k, np.flatnonzero((xs >> k) & 1), out, state, rng)
@@ -399,15 +505,7 @@ class _DyadicSampler:
         x = int(x)
         if x < 1:
             raise ValueError("dyadic sampler serves x >= 1")
-        top = self._top(x)
-        ks = [top] * (x >> top) + [k for k in range(top - 1, -1, -1) if (x >> k) & 1]
-        out = 0
-        r = 0
-        for k in ks:
-            adv = self.levels[k].inv.draw_one(r, rng.random())
-            out += adv
-            r = (r + adv + (1 << k)) % self.m
-        return out + self.m * int(rng.negative_binomial(x, self.fail))
+        return self._walk([x], rng)[0]
 
 
 def _cycle_route(env: CookieEnvironment) -> tuple[Callable, Callable]:
@@ -557,7 +655,7 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
         pieces.append(cdf)
     del flat
     sizes = np.array([len(p) for p in pieces])
-    return _InverseCdf(np.concatenate(pieces), sizes, row_k0)
+    return _InverseCdf(np.concatenate(pieces), sizes, row_k0, guided=True)
 
 
 _cached_table = lru_cache(maxsize=8)(_chain_table)
@@ -606,12 +704,13 @@ def simulate_Z_ensemble(
     """Ensemble of crossing-chain runs from Z_0 = 1 (``bpm.absorb``).
 
     On a critical or subcritical pile, lockstep draws within the table
-    cap come from precomputed inverse-CDF rows; a supercritical chain
-    escapes before a fresh table repays its build, and a constant pile's
-    negative binomial draws beat one.  Other draws come from the exact
-    samplers, the last few runs' through scalar draws.  Results are a
-    pure function of (environment, direction, horizon, trials,
-    master_seed).
+    cap come from precomputed inverse-CDF rows, searched through the
+    table's guide; a step whose sizes are all within the cap is one
+    table lookup.  A supercritical chain escapes before a fresh table
+    repays its build, and a constant pile's negative binomial draws beat
+    one.  Other draws come from the exact samplers, the last few runs'
+    through scalar draws.  Results are a pure function of (environment,
+    direction, horizon, trials, master_seed).
     """
     eff = _directed(env, direction)
     one, many = _samplers(eff)
@@ -628,13 +727,13 @@ def simulate_Z_ensemble(
 
     def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(len(x))
+        if x.max() <= cap:
+            return table.draw(x - 1, u)
         small = x <= cap
         k = np.empty(len(x), dtype=np.int64)
-        if np.any(small):
-            k[small] = table.draw(x[small] - 1, u[small])
-        if not np.all(small):
-            big = ~small
-            k[big] = many(x[big], rng)
+        k[small] = table.draw(x[small] - 1, u[small])
+        big = ~small
+        k[big] = many(x[big], rng)
         return k
 
     def step_one(z: int, rng: np.random.Generator) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from erwlab.bpm import BpmModel, _bpm_step
 from erwlab.environments import CookieEnvironment
-from erwlab.kks import _require_nondegenerate
+from erwlab.kks import _DyadicSampler, _require_nondegenerate
 from erwlab.periodic import InternalConsistencyError
 
 
@@ -59,6 +59,27 @@ def full_forward_U_masses(env: CookieEnvironment, x: int, trials: int) -> np.nda
         if n >= x:
             masses.append(chances[-1])
     return np.array(masses)
+
+
+def dyadic_vector_walk(
+    sampler: _DyadicSampler, xs: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The dyadic level walk as whole-batch numpy steps: every draw's
+    top blocks, one ``rng.random`` call per block, then one call per
+    lower bit for the draws that have it, then one negative binomial
+    call for the period wraps."""
+    top = sampler._top(int(xs.max()))
+    out = np.zeros(len(xs), dtype=np.int64)
+    state = np.zeros(len(xs), dtype=np.int64)
+    steps = [(top, xs >> top > j) for j in range(int((xs >> top).max()))]
+    steps += [(k, (xs >> k) & 1 == 1) for k in range(top - 1, -1, -1)]
+    for k, mask in steps:
+        sel = np.flatnonzero(mask)
+        st = state[sel]
+        adv = sampler.levels[k].inv.draw(st, rng.random(len(sel)))
+        out[sel] += adv
+        state[sel] = (st + adv + (1 << k)) % sampler.m
+    return out + sampler.m * rng.negative_binomial(xs, sampler.fail)
 
 
 def bpm_step_samples(

@@ -113,7 +113,7 @@ def test_chain_past_the_table_cap_is_pinned(monkeypatch):
                                   master_seed=S)
     finally:
         kks._samplers.cache_clear()
-    assert min(sizes) == 1 and max(sizes) > 16
+    assert min(sizes) == 1 and max(sizes) > kks._SCALAR_ROWS
     assert _sha([res.death_steps, res.escaped]) == (
         "cabb66b9d0be772fc893c24b575ef10a0713cc9795c45ee623d503fe973ff572")
 

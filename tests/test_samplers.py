@@ -9,13 +9,20 @@ chi-square z-score with fixed seeds.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from erwlab import kks
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic, parse_env
 from erwlab.kks import (
+    _GUIDE_BITS,
+    _GUIDE_SHIFT,
+    _GUIDE_SPAN,
     _KEY_ROWS,
+    _SCALAR_ROWS,
+    _SMALL_BATCH,
     _TABLE_CAP,
     _U_BITS,
     _U_SCALE,
@@ -32,7 +39,7 @@ from erwlab.kks import (
 )
 from erwlab.periodic import InternalConsistencyError
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LADDER, substream
-from reference_routes import sample_U_reference
+from reference_routes import dyadic_vector_walk, sample_U_reference
 
 S = DEFAULT_SEED
 
@@ -126,6 +133,41 @@ def test_period_above_one_key_array_matches_dp():
     assert abs(_chi_square_z(env, x, singles)) < 4.0
 
 
+@pytest.mark.parametrize(
+    "pile,x_max",
+    [((0.9, 0.9, 0.1, 0.1), 3000), ((0.99, 0.98), 3000), ((0.99, 0.98) * 1024 + (0.99,), 40)],
+    ids=["four-slot", "long-runs", "two-key-arrays"],
+)
+def test_scalar_level_walk_equals_the_vector_walk(pile, x_max, monkeypatch):
+    # Small batches walk the levels on Python scalars; every batch size
+    # up to twice that threshold gives the vector walk's draws bit for
+    # bit.  The 2049-slot pile has two key arrays per level and no level
+    # above 0, so its draws repeat the top level x times.
+    sampler = _DyadicSampler(make_periodic(pile))
+    vector_steps = []
+    advance = sampler._advance
+
+    def counted(k, *args):
+        vector_steps.append(k)
+        advance(k, *args)
+
+    monkeypatch.setattr(sampler, "_advance", counted)
+    picks = np.random.default_rng(len(pile))
+    for n in range(1, 2 * _SCALAR_ROWS + 1):
+        xs = picks.integers(1, x_max + 1, n)
+        a, b = substream(S, TAG_GENERAL, 34, n), substream(S, TAG_GENERAL, 34, n)
+        del vector_steps[:]
+        assert sampler.draw(xs, a).tolist() == dyadic_vector_walk(sampler, xs, b).tolist()
+        assert a.random() == b.random()  # both took the same draws
+        assert bool(vector_steps) == (n > _SCALAR_ROWS)
+    if len(pile) > 2048:
+        assert len(sampler.levels) == 1 and len(sampler.levels[0].inv.keys) == 2
+    for x in (1, 2, 7, 40, x_max):
+        a, b = substream(S, TAG_GENERAL, 35, x), substream(S, TAG_GENERAL, 35, x)
+        assert sampler.draw_one(x, a) == sampler.draw(np.array([x]), b)[0]
+        assert a.random() == b.random()  # both took the same draws
+
+
 def test_long_period_with_a_zero_cookie_matches_dp():
     # Past 64 slots, too, a run through the 0 cookie has chance exactly
     # 0, and building the slot-run law must not warn (warnings are errors).
@@ -147,6 +189,7 @@ _CDF_ROWS = [
     np.array([0.0, 0.0, 0.7, 1.0]),
     np.array([1e-300, 2.0**-53, 3 * 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
     np.array([2.0**-60, 0.3, 0.3, np.nextafter(0.75, 0.0), 0.75, 1.0]),
+    np.append(0.5 + 2.0**-13 * np.arange(8), 1.0),  # 8 keys in one guide bucket
 ]
 
 
@@ -164,19 +207,54 @@ def _uniforms_around(row):
 def test_packed_search_matches_row_searchsorted(n_rows):
     rows = [_CDF_ROWS[r % len(_CDF_ROWS)] for r in range(n_rows)]
     k0 = 5 * np.arange(n_rows) - 7000  # a nonzero offset per row
-    inv = _InverseCdf(np.concatenate(rows), np.array([len(r) for r in rows]), k0)
-    assert len(inv.keys) == -(-n_rows // 2048)
-    assert len(inv) == n_rows
-    checked = list(range(8)) + list(range(2040, n_rows))
+    sizes = np.array([len(r) for r in rows])
+    # Rows 2047 and n_rows - 1 end their key arrays; single-entry rows
+    # hold no key at all.
+    checked = list(range(14)) + list(range(2036, n_rows))
     qr, qu, want = [], [], []
     for r in checked:
         u = _uniforms_around(rows[r])
         qr += [r] * len(u)
         qu += list(u)
         want += list(k0[r] + np.searchsorted(rows[r], u, side="right"))
-    got = inv.draw(np.array(qr), np.array(qu))
-    assert got.tolist() == want
-    assert [inv.draw_one(r, u) for r, u in zip(qr, qu)] == want
+    # Each key array gets a batch above the size that a guide serves.
+    qr, qu, want = np.tile(qr, 4), np.tile(qu, 4), want * 4
+    assert np.bincount(qr >> 11).min() > _SMALL_BATCH
+    for guided in (False, True):
+        inv = _InverseCdf(np.concatenate(rows), sizes, k0, guided)
+        assert len(inv.keys) == -(-n_rows // 2048)
+        assert len(inv) == n_rows
+        assert inv.draw(qr, qu).tolist() == want
+        assert [inv.draw_one(r, u) for r, u in zip(qr, qu)] == want
+        # Small batches take the plain search.
+        got = [inv.draw(qr[i : i + _SMALL_BATCH], qu[i : i + _SMALL_BATCH])
+               for i in range(0, len(qr), _SMALL_BATCH)]
+        assert np.concatenate(got).tolist() == want
+    # In the guided table, queries land both in buckets the guide serves
+    # and in buckets that hold more than _GUIDE_SPAN keys, whose entry is -1.
+    bucket = (qr % 2048 << _GUIDE_BITS) + (qu * 2.0**53).astype(np.int64) // (1 << _GUIDE_SHIFT)
+    starts = np.array([inv.guides[c][b] for c, b in zip(qr >> 11, bucket)])
+    assert np.any(starts < 0) and np.any(starts >= 0)
+    assert _GUIDE_SPAN < 8 and inv.guides[0][(6 << _GUIDE_BITS) + 32] == -1
+
+
+def test_chain_table_guide_has_bounded_size():
+    # The guide holds one int32 per bucket: 256 bytes per row, and its
+    # 64-row build leaves no large temporary behind.
+    env = make_periodic((0.9, 0.9, 0.1, 0.1))
+    table = _chain_table(env, _TABLE_CAP)
+    nbytes = sum(g.nbytes for g in table.guides)
+    assert nbytes <= 256 * len(table)
+    keys = np.concatenate(table.keys)
+    cdf = ((keys & np.uint64((1 << _U_BITS) - 1)).astype(float) / _U_SCALE)
+    sizes = np.bincount((keys >> np.uint64(_U_BITS)).astype(np.int64), minlength=len(table))
+    peaks = []
+    for guided in (False, True):
+        tracemalloc.start()
+        _InverseCdf(cdf.copy(), sizes, 0, guided)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= nbytes + (256 << 10)
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,17 @@ def test_subcritical_chain_dies_fast():
     assert res.escaped == 0
 
 
+def test_sure_steps_need_no_table_keys():
+    # On (1, 0) every U(x) is x for sure, so no table row keeps a key:
+    # the chain stays at 1 to the right and dies at once to the left.
+    env = make_periodic((1.0, 0.0))
+    assert all(len(k) == 0 for k in _cached_table(_directed(env, "right"), 10).keys)
+    right = simulate_Z_ensemble(env, "right", 10, 300, master_seed=S)
+    left = simulate_Z_ensemble(env, "left", 10, 300, master_seed=S)
+    assert set(right.death_steps.tolist()) == {-1} and right.escaped == 0
+    assert set(left.death_steps.tolist()) == {1}
+
+
 def test_long_success_runs_reach_the_scalar_stragglers():
     # The full-period product 0.9702 gives long success runs, 33
     # whole-period wraps per failure on average; the last few trials
