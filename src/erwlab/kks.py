@@ -11,8 +11,8 @@ failure when cookies are consumed in pile order.  This module provides
   constant cycle, dyadic block composition otherwise), after one stage
   of shared Bernoulli trials for a prefix; the dyadic levels and the
   chain's table draw through ``_InverseCdf``, packed integer keys
-  searched in one call per key array (the chain's table through a
-  guide),
+  searched in one call per key array (through a guide where few of
+  its buckets are crowded),
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -185,11 +185,13 @@ _KEY_ROWS = 1 << _ROW_BITS
 _PACK_ROWS = 16  # divides _KEY_ROWS
 # Guide tables: 2^_GUIDE_BITS buckets per row, indexed by the top bits of
 # u; a guided lookup counts at most _GUIDE_SPAN keys from its bucket's
-# first.  The guide is built _GUIDE_ROWS rows at a time.
+# first.  The guide is built _GUIDE_ROWS rows at a time, and a table
+# keeps it unless more than _GUIDE_FAR of its buckets hold more keys.
 _GUIDE_BITS = 6
 _GUIDE_SHIFT = _U_BITS - _GUIDE_BITS
 _GUIDE_SPAN = 4
 _GUIDE_ROWS = 64
+_GUIDE_FAR = 0.25
 # Batches of at most this many queries search unsorted and unguided.
 _SMALL_BATCH = 128
 
@@ -243,9 +245,9 @@ class _InverseCdf:
     peaks (5 % in the chain benchmark).
 
     Search: a batch of at most ``_SMALL_BATCH`` queries is one plain
-    ``searchsorted``.  A larger batch is searched in sorted order, or,
-    when the table is ``guided``, through a Chen-Asau guide (Devroye,
-    *Non-Uniform Random Variate Generation*, 1986, section III.2.4).
+    ``searchsorted``.  A larger batch goes through the table's Chen-Asau
+    guide (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+    section III.2.4), or in sorted query order if it keeps none.
     Bucket b of row r holds the keys whose j lies in [b, b + 1) * 2^47,
     and the guide stores the position of its first key.  The query's
     top 17 bits are its row and bucket, so one gather finds the start,
@@ -258,14 +260,21 @@ class _InverseCdf:
     row (512 KiB for the chain table's 2048 rows), and is built 64 rows
     at a time for the same malloc reason as the keys.  Row ends come
     from the row starts, never from the key (r + 1) << 53, which wraps
-    to 0 for the last row of a key array.  Only ``_chain_table`` is
-    guided: its 6 MiB of keys miss the cache on a binary search, and
-    its batches of a few thousand rows make a guided lookup (about 60
-    us for 1,200 rows) cheaper than a sorted one (about 110 us).
+    to 0 for the last row of a key array.
+
+    A table keeps its guide unless more than ``_GUIDE_FAR`` of the
+    buckets store -1, as uniform queries would then mostly pay for the
+    guide and the plain search both.  Measured on 50,000-query batches
+    of dyadic levels, a guided lookup takes about half the time of a
+    sorted one when 3 % of its queries land in such buckets, breaks
+    even near 27 %, and takes 1.7 times as long at 54 % and 3 times as
+    long at 100 % (wide levels, thousands of keys a row).  The chain
+    table's buckets store -1 at 8 %; its 6 MiB of keys miss the cache
+    on a binary search, and a guided lookup of 1,200 rows takes about
+    60 us against 110 us sorted.
     """
 
-    def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray",
-                 guided: bool = False):
+    def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
         buf = cdf.view(np.uint64)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         starts = np.empty(len(sizes), dtype=np.int64)
@@ -289,10 +298,11 @@ class _InverseCdf:
         self.keys = tuple(keys)
         self.base = k0 - starts
         # An empty key array (every row a sure value) has nothing to guide.
-        self.guides = self._guides(starts) if guided and all(map(len, keys)) else None
+        self.guides = self._guides(starts) if all(map(len, keys)) else None
 
-    def _guides(self, starts: np.ndarray) -> tuple:
-        """One guide per key array: the first key of every bucket, or -1."""
+    def _guides(self, starts: np.ndarray) -> Optional[tuple]:
+        """One guide per key array: the first key of every bucket, or -1;
+        None when more than ``_GUIDE_FAR`` of the buckets hold -1."""
         buckets = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
         guides = []
         for c, keys in enumerate(self.keys):
@@ -308,7 +318,8 @@ class _InverseCdf:
                 fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(keys))
                 guide[r0:r1] = np.where(fast, first, -1)
             guides.append(guide.ravel())
-        return tuple(guides)
+        far = sum(np.count_nonzero(g < 0) for g in guides)
+        return tuple(guides) if far <= _GUIDE_FAR * (len(starts) << _GUIDE_BITS) else None
 
     def __len__(self) -> int:
         return len(self.base)
@@ -471,12 +482,17 @@ class _DyadicSampler:
         (every row's first top block, then every second one, ..., then
         bit top - 1 of the rows that have it, and so on) from one
         ``rng.random`` call, and the negative binomials one per row in
-        row order, so its draws are the vector walk's bit for bit.
+        row order, so its draws are the vector walk's bit for bit.  One
+        row's plan is read straight off the set bits of its x.
         """
         top = self._top(max(xs, default=1))
-        rows = list(enumerate(xs))
-        plan = [(top, i) for j in range(max(xs, default=0) >> top) for i, x in rows if x >> top > j]
-        plan += [(k, i) for k in range(top - 1, -1, -1) for i, x in rows if x >> k & 1]
+        if len(xs) == 1:
+            x = xs[0]
+            plan = [(top, 0)] * (x >> top) + [(k, 0) for k in range(top - 1, -1, -1) if x >> k & 1]
+        else:
+            rows = list(enumerate(xs))
+            plan = [(top, i) for j in range(max(xs, default=0) >> top) for i, x in rows if x >> top > j]
+            plan += [(k, i) for k in range(top - 1, -1, -1) for i, x in rows if x >> k & 1]
         out = [0] * len(xs)
         state = [0] * len(xs)
         for (k, i), u in zip(plan, rng.random(len(plan)).tolist()):
@@ -655,7 +671,7 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
         pieces.append(cdf)
     del flat
     sizes = np.array([len(p) for p in pieces])
-    return _InverseCdf(np.concatenate(pieces), sizes, row_k0, guided=True)
+    return _InverseCdf(np.concatenate(pieces), sizes, row_k0)
 
 
 _cached_table = lru_cache(maxsize=8)(_chain_table)

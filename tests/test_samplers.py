@@ -220,8 +220,11 @@ def test_packed_search_matches_row_searchsorted(n_rows):
     # Each key array gets a batch above the size that a guide serves.
     qr, qu, want = np.tile(qr, 4), np.tile(qu, 4), want * 4
     assert np.bincount(qr >> 11).min() > _SMALL_BATCH
-    for guided in (False, True):
-        inv = _InverseCdf(np.concatenate(rows), sizes, k0, guided)
+    inv = _InverseCdf(np.concatenate(rows), sizes, k0)
+    guides = inv.guides
+    assert guides is not None
+    for route in (None, guides):  # the sorted search, then the guided one
+        inv.guides = route
         assert len(inv.keys) == -(-n_rows // 2048)
         assert len(inv) == n_rows
         assert inv.draw(qr, qu).tolist() == want
@@ -248,13 +251,26 @@ def test_chain_table_guide_has_bounded_size():
     keys = np.concatenate(table.keys)
     cdf = ((keys & np.uint64((1 << _U_BITS) - 1)).astype(float) / _U_SCALE)
     sizes = np.bincount((keys >> np.uint64(_U_BITS)).astype(np.int64), minlength=len(table))
-    peaks = []
-    for guided in (False, True):
-        tracemalloc.start()
-        _InverseCdf(cdf.copy(), sizes, 0, guided)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= nbytes + (256 << 10)
+    # With k0 = 0 the rebuilt table's base is minus its row starts.
+    inv = _InverseCdf(cdf, sizes, 0)
+    tracemalloc.start()
+    guides = inv._guides(-inv.base)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(guides, table.guides))
+    assert peak <= nbytes + (256 << 10)
+
+
+def test_crowded_table_keeps_no_guide():
+    # Rows of 512 evenly spaced entries put 8 keys in every bucket, more
+    # than a guided lookup counts; the table searches in sorted order.
+    row = (np.arange(512) + 1) / 512.0
+    inv = _InverseCdf(np.tile(row, 64), np.full(64, 512), 0)
+    assert inv.guides is None
+    rng = np.random.default_rng(0)
+    rows, u = rng.integers(0, 64, 1000), rng.random(1000)
+    assert inv.draw(rows, u).tolist() == np.searchsorted(row, u, side="right").tolist()
+    assert _InverseCdf(np.tile([0.5, 1.0], 64), np.full(64, 2), 0).guides is not None
 
 
 @pytest.mark.parametrize(
