@@ -51,14 +51,14 @@ class OffspringSpec:
 
     @staticmethod
     def geometric(mean: float) -> "OffspringSpec":
-        if mean <= 0.0:
-            raise ValueError("geometric offspring needs positive mean")
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"geometric offspring needs a finite positive mean, not {mean}")
         return OffspringSpec("geometric", mean, mean * (1.0 + mean))
 
     @staticmethod
     def poisson(mean: float) -> "OffspringSpec":
-        if mean <= 0.0:
-            raise ValueError("poisson offspring needs positive mean")
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"poisson offspring needs a finite positive mean, not {mean}")
         return OffspringSpec("poisson", mean, mean)
 
     @staticmethod

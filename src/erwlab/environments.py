@@ -117,19 +117,6 @@ class CookieEnvironment:
             _flip(self.prefix), _flip(self.cycle), _flip(self.exact_prefix), _flip(self.exact_cycle)
         )
 
-    def shift(self, j: int) -> "CookieEnvironment":
-        """Periodic pattern rotated to start at cookie j (1 <= j <= M)."""
-        if self.prefix:
-            raise ValueError("shift is defined for piles without a prefix only")
-        m = self.period
-        if not 1 <= j <= m:
-            raise ValueError(f"shift index {j} outside 1..{m}")
-        k = j - 1
-        ex = None
-        if self.exact_cycle is not None:
-            ex = self.exact_cycle[k:] + self.exact_cycle[:k]
-        return CookieEnvironment((), self.cycle[k:] + self.cycle[:k], None, ex)
-
     def predicates(self) -> EnvPredicates:
         values = self.prefix + self.cycle
         c = self.cycle

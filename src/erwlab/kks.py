@@ -144,8 +144,8 @@ def exact_U_distribution(
     _require_nondegenerate(env)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if tail_eps <= 0.0:
-        raise ValueError("tail_eps must be positive")
+    if not 0.0 < tail_eps < 1.0:
+        raise ValueError(f"tail_eps must lie in (0, 1), not {tail_eps}")
     if x == 0:
         return UDistribution(0, 1, np.array([1.0]), 0.0)
     # Failure x can land on trial n only once the window reaches x - 1;
@@ -183,31 +183,21 @@ _U_SCALE = float(1 << _U_BITS)
 _ROW_BITS = 64 - _U_BITS
 _KEY_ROWS = 1 << _ROW_BITS
 _PACK_ROWS = 16  # divides _KEY_ROWS
-# Guide tables: 2^_GUIDE_BITS buckets per row, indexed by the top bits of
-# u; a guided lookup counts at most _GUIDE_SPAN keys from its bucket's
-# first.  The guide is built _GUIDE_ROWS rows at a time, and a table
-# keeps it unless more than _GUIDE_FAR of its buckets hold more keys.
+# Guide tables: 2^g buckets per row, with g at least _GUIDE_BITS, indexed
+# by the top g bits of u; a guided lookup counts at most _GUIDE_SPAN keys
+# from its bucket's first.  A table keeps its guide unless more than
+# _GUIDE_FAR of its buckets hold more keys.
 _GUIDE_BITS = 6
-_GUIDE_SHIFT = _U_BITS - _GUIDE_BITS
 _GUIDE_SPAN = 4
-_GUIDE_ROWS = 64
 _GUIDE_FAR = 0.25
-# Batches of at most this many queries search unsorted and unguided.
+# Batches of at most this many queries take the plain search.
 _SMALL_BATCH = 128
 
 
-def _sorted_search(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``keys.searchsorted(q, "right")``, searched in sorted query order:
-    sorted queries walk the keys in memory order."""
-    order = np.argsort(q)
-    pos = np.empty(len(q), dtype=np.int64)
-    pos[order] = keys.searchsorted(q[order], side="right")
-    return pos
-
-
-def _guided_search(keys: np.ndarray, guide: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``keys.searchsorted(q, "right")`` through a guide (``_InverseCdf``)."""
-    start = guide[(q >> np.uint64(_GUIDE_SHIFT)).astype(np.int64)].astype(np.int64)
+def _guided_search(keys: np.ndarray, guide: np.ndarray, shift: int, q: np.ndarray) -> np.ndarray:
+    """``keys.searchsorted(q, "right")`` through a guide (``_InverseCdf``)
+    whose buckets each span 2^``shift`` values of j."""
+    start = guide[(q >> np.uint64(shift)).astype(np.int64)].astype(np.int64)
     pos = start.copy()
     for i in range(_GUIDE_SPAN):
         # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
@@ -244,34 +234,34 @@ class _InverseCdf:
     malloc's mmap threshold, and the fragmented heap then lifts later
     peaks (5 % in the chain benchmark).
 
-    Search: a batch of at most ``_SMALL_BATCH`` queries is one plain
-    ``searchsorted``.  A larger batch goes through the table's Chen-Asau
-    guide (Devroye, *Non-Uniform Random Variate Generation*, 1986,
-    section III.2.4), or in sorted query order if it keeps none.
-    Bucket b of row r holds the keys whose j lies in [b, b + 1) * 2^47,
-    and the guide stores the position of its first key.  The query's
-    top 17 bits are its row and bucket, so one gather finds the start,
-    and the answer is the start plus the count of the next
+    Search: a batch above ``_SMALL_BATCH`` queries goes through the
+    table's Chen-Asau guide (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, section III.2.4); a smaller batch, or any batch on
+    a table that keeps no guide, is one plain ``searchsorted``.  A row
+    has 2^g buckets, g the largest value with 2^g * ``_GUIDE_SPAN`` at
+    most the table's mean keys per row, and never below ``_GUIDE_BITS``.
+    Bucket b of row r holds the keys whose j lies in [b, b + 1) *
+    2^(53 - g), and the guide stores the position of its first key.  The
+    query's top 11 + g bits are its row and bucket, so one gather finds
+    the start, and the answer is the start plus the count of the next
     ``_GUIDE_SPAN`` keys at or below the query: every key before the
     start is below the query, every key past the bucket above it.  A
-    bucket with more keys than that (the far tails), or too close to
-    the array's end for the count, stores -1, and its queries take the
-    plain search.  The guide holds one int32 per bucket, 256 bytes per
-    row (512 KiB for the chain table's 2048 rows), and is built 64 rows
-    at a time for the same malloc reason as the keys.  Row ends come
-    from the row starts, never from the key (r + 1) << 53, which wraps
-    to 0 for the last row of a key array.
+    bucket with more keys than that (the far tails), or too close to the
+    array's end for the count, stores -1, and its queries take the plain
+    search.  The guide holds one int32 per bucket: 256 bytes a row at
+    g = 6, and at most 4 bytes per ``_GUIDE_SPAN`` keys above it, so at
+    most max(256 bytes a row, 1/8 of the key bytes).  It is built
+    ``_PACK_ROWS`` rows at a time, for the same malloc reason as the
+    keys.  Row ends come from the row starts, never from the key
+    (r + 1) << 53, which wraps to 0 for the last row of a key array.
 
     A table keeps its guide unless more than ``_GUIDE_FAR`` of the
     buckets store -1, as uniform queries would then mostly pay for the
-    guide and the plain search both.  Measured on 50,000-query batches
-    of dyadic levels, a guided lookup takes about half the time of a
-    sorted one when 3 % of its queries land in such buckets, breaks
-    even near 27 %, and takes 1.7 times as long at 54 % and 3 times as
-    long at 100 % (wide levels, thousands of keys a row).  The chain
-    table's buckets store -1 at 8 %; its 6 MiB of keys miss the cache
-    on a binary search, and a guided lookup of 1,200 rows takes about
-    60 us against 110 us sorted.
+    guide and the plain search both.  With g sized from the rows, only
+    tiny tables lose their guide: with a few keys a row, most buckets
+    lie within ``_GUIDE_SPAN`` keys of the array's end, and a plain
+    search of so few keys is fast.  The chain tables hold about 410 keys
+    a row (g = 6) and the widest dyadic levels thousands (g = 8 to 11).
     """
 
     def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
@@ -297,40 +287,43 @@ class _InverseCdf:
                 keys.append(buf[first:end])
         self.keys = tuple(keys)
         self.base = k0 - starts
+        # The largest g with 2^g * _GUIDE_SPAN <= the mean keys per row.
+        g = (end // (_GUIDE_SPAN * len(sizes))).bit_length() - 1
+        self.shift = _U_BITS - max(g, _GUIDE_BITS)
         # An empty key array (every row a sure value) has nothing to guide.
         self.guides = self._guides(starts) if all(map(len, keys)) else None
 
     def _guides(self, starts: np.ndarray) -> Optional[tuple]:
         """One guide per key array: the first key of every bucket, or -1;
         None when more than ``_GUIDE_FAR`` of the buckets hold -1."""
-        buckets = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
+        n_buckets = 1 << (_U_BITS - self.shift)
+        buckets = np.arange(n_buckets, dtype=np.uint64) << np.uint64(self.shift)
         guides = []
+        far = 0
         for c, keys in enumerate(self.keys):
             lo = c * _KEY_ROWS
             hi = min(lo + _KEY_ROWS, len(starts))
             ends = np.append(starts[lo + 1 : hi], len(keys))
-            guide = np.empty((hi - lo, len(buckets)), dtype=np.int32)
-            for r0 in range(0, hi - lo, _GUIDE_ROWS):
-                r1 = min(r0 + _GUIDE_ROWS, hi - lo)
+            guide = np.empty((hi - lo, n_buckets), dtype=np.int32)
+            for r0 in range(0, hi - lo, _PACK_ROWS):
+                r1 = min(r0 + _PACK_ROWS, hi - lo)
                 row_keys = np.arange(r0, r1, dtype=np.uint64)[:, None] << _U_BITS
                 first = keys.searchsorted(row_keys | buckets, side="left")
                 last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
                 fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(keys))
                 guide[r0:r1] = np.where(fast, first, -1)
+                far += int(np.count_nonzero(~fast))
             guides.append(guide.ravel())
-        far = sum(np.count_nonzero(g < 0) for g in guides)
-        return tuple(guides) if far <= _GUIDE_FAR * (len(starts) << _GUIDE_BITS) else None
+        return tuple(guides) if far <= _GUIDE_FAR * len(starts) * n_buckets else None
 
     def __len__(self) -> int:
         return len(self.base)
 
     def _search(self, c: int, q: np.ndarray) -> np.ndarray:
         keys = self.keys[c]
-        if len(q) <= _SMALL_BATCH:
+        if len(q) <= _SMALL_BATCH or self.guides is None:
             return keys.searchsorted(q, side="right")
-        if self.guides is None:
-            return _sorted_search(keys, q)
-        return _guided_search(keys, self.guides[c], q)
+        return _guided_search(keys, self.guides[c], self.shift, q)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One draw from row ``rows[i]`` per uniform ``u[i]``; each u must

@@ -219,6 +219,9 @@ def test_literal_errors():
         parse_offspring("binomial:3")
     with pytest.raises(ValueError):
         parse_offspring("table:0.5,0.4")
+    for text in ("geometric:nan", "geometric:inf", "poisson:nan", "poisson:inf", "poisson:0"):
+        with pytest.raises(ValueError, match="finite positive mean"):
+            parse_offspring(text)
     with pytest.raises(ValueError):
         parse_migration("const")
     with pytest.raises(ValueError):

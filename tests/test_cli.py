@@ -567,6 +567,29 @@ def test_bad_bpm_sizes_are_clean_errors(capsys, flags):
     assert "erwlab: error" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--offspring", "geometric:nan"],
+     ["--offspring", "poisson:inf", "--horizon", "5", "--trials", "3"]],
+    ids=["geometric-nan", "poisson-inf"],
+)
+def test_non_finite_offspring_mean_is_a_clean_error(capsys, flags):
+    code, out, err = _run(capsys, ["bpm", "--migration", "const:1"] + flags)
+    assert code == 2
+    assert out == ""
+    assert "offspring needs a finite positive mean" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["2", "1", "0", "nan"])
+def test_oracle_tail_outside_the_unit_interval_is_a_clean_error(capsys, eps):
+    argv = ["oracle", "--env", "periodic:0.9,0.1", "--x", "100", "--tail-eps", eps]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "tail_eps must lie in (0, 1)" in err
+
+
 def test_unreachable_oracle_tail_is_a_clean_error(capsys):
     code, out, err = _run(capsys, ["oracle", "--env", "periodic:0.9999,0.9998", "--x", "1"])
     assert code == 2

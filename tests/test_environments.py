@@ -159,21 +159,6 @@ def test_mirror_flips_mean_cookie(values):
     )
 
 
-@given(periods, st.integers(min_value=1, max_value=8))
-def test_shift_relabels_cookie_sequence(values, j):
-    env = make_periodic(tuple(values))
-    if j > env.period:
-        j = 1 + (j - 1) % env.period
-    shifted = env.shift(j)
-    for i in range(1, 3 * env.period):
-        assert shifted.cookie_at(i) == env.cookie_at(i + j - 1)
-
-
-def test_shift_rejects_non_periodic():
-    with pytest.raises(ValueError):
-        make_bounded((0.9,)).shift(1)
-
-
 def test_environment_is_hashable_and_frozen():
     env = make_periodic((0.7, 0.3))
     assert env in {env}

@@ -150,22 +150,27 @@ def test_frozen_constants_for_reference_envs():
     assert d4.theta_right == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
+def _rotated(cycle, k):
+    """The periodic pile begun at cookie k + 1 of ``cycle``."""
+    return make_periodic(cycle[k:] + cycle[:k])
+
+
 def test_rho_changes_by_one_minus_two_p_under_shift():
-    # rotating the pile start past cookie j changes the drift by the
+    # rotating the pile start past cookie k + 1 changes the drift by the
     # drift of the dropped cookie
-    env = make_periodic((0.8, 0.3, 0.4, 0.5))
-    for j in range(1, env.period):
-        lhs = diagnostics(env.shift(j + 1)).rho
-        rhs = diagnostics(env.shift(j)).rho + 1.0 - 2.0 * env.cycle[j - 1]
+    cycle = (0.8, 0.3, 0.4, 0.5)
+    for k in range(len(cycle) - 1):
+        lhs = diagnostics(_rotated(cycle, k + 1)).rho
+        rhs = diagnostics(_rotated(cycle, k)).rho + 1.0 - 2.0 * cycle[k]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_stationary_average_of_shifted_drifts_vanishes():
-    env = make_periodic((0.8, 0.3, 0.4, 0.5))
-    chain = failure_chain(env)
+    cycle = (0.8, 0.3, 0.4, 0.5)
+    chain = failure_chain(make_periodic(cycle))
     acc = 0.0
-    for j in range(env.period):
-        acc += float(chain.stationary[j]) * diagnostics(env.shift(j + 1)).rho
+    for k in range(len(cycle)):
+        acc += float(chain.stationary[k]) * diagnostics(_rotated(cycle, k)).rho
     assert acc == pytest.approx(0.0, abs=1e-10)
 
 

@@ -18,7 +18,6 @@ from erwlab import kks
 from erwlab.environments import make_bounded, make_custom_tail, make_periodic, parse_env
 from erwlab.kks import (
     _GUIDE_BITS,
-    _GUIDE_SHIFT,
     _GUIDE_SPAN,
     _KEY_ROWS,
     _SCALAR_ROWS,
@@ -223,7 +222,7 @@ def test_packed_search_matches_row_searchsorted(n_rows):
     inv = _InverseCdf(np.concatenate(rows), sizes, k0)
     guides = inv.guides
     assert guides is not None
-    for route in (None, guides):  # the sorted search, then the guided one
+    for route in (None, guides):  # the plain search, then the guided one
         inv.guides = route
         assert len(inv.keys) == -(-n_rows // 2048)
         assert len(inv) == n_rows
@@ -235,24 +234,35 @@ def test_packed_search_matches_row_searchsorted(n_rows):
         assert np.concatenate(got).tolist() == want
     # In the guided table, queries land both in buckets the guide serves
     # and in buckets that hold more than _GUIDE_SPAN keys, whose entry is -1.
-    bucket = (qr % 2048 << _GUIDE_BITS) + (qu * 2.0**53).astype(np.int64) // (1 << _GUIDE_SHIFT)
+    g = _U_BITS - inv.shift
+    bucket = (qr % 2048 << g) + ((qu * 2.0**53).astype(np.int64) >> inv.shift)
     starts = np.array([inv.guides[c][b] for c, b in zip(qr >> 11, bucket)])
     assert np.any(starts < 0) and np.any(starts >= 0)
-    assert _GUIDE_SPAN < 8 and inv.guides[0][(6 << _GUIDE_BITS) + 32] == -1
+    # Row 6 holds 8 keys just above u = 1/2, all in one bucket.
+    assert _GUIDE_SPAN < 8 and inv.guides[0][(6 << g) + (1 << g - 1)] == -1
+
+
+def _guide_bound(inv):
+    """The guide's stated size bound: max(256 bytes a row, 1/8 of the key bytes)."""
+    return max(256 * len(inv), sum(k.nbytes for k in inv.keys) // 8)
 
 
 def test_chain_table_guide_has_bounded_size():
-    # The guide holds one int32 per bucket: 256 bytes per row, and its
-    # 64-row build leaves no large temporary behind.
-    env = make_periodic((0.9, 0.9, 0.1, 0.1))
-    table = _chain_table(env, _TABLE_CAP)
-    nbytes = sum(g.nbytes for g in table.guides)
-    assert nbytes <= 256 * len(table)
+    # The guide holds one int32 per bucket, within max(256 bytes a row,
+    # 1/8 of the key bytes), and its build leaves no large temporary
+    # behind.  The bounded pile's rows are wide enough for g = 7.
+    for lit, g in (("periodic:0.9,0.9,0.1,0.1", 6), ("bounded:0.9,0.9", 7)):
+        table = _chain_table(parse_env(lit), _TABLE_CAP)
+        assert table.shift == _U_BITS - g
+        nbytes = sum(a.nbytes for a in table.guides)
+        assert nbytes == 4 * len(table) << g
+        assert nbytes <= _guide_bound(table)
     keys = np.concatenate(table.keys)
     cdf = ((keys & np.uint64((1 << _U_BITS) - 1)).astype(float) / _U_SCALE)
     sizes = np.bincount((keys >> np.uint64(_U_BITS)).astype(np.int64), minlength=len(table))
     # With k0 = 0 the rebuilt table's base is minus its row starts.
     inv = _InverseCdf(cdf, sizes, 0)
+    assert inv.shift == table.shift
     tracemalloc.start()
     guides = inv._guides(-inv.base)
     peak = tracemalloc.get_traced_memory()[1]
@@ -261,15 +271,49 @@ def test_chain_table_guide_has_bounded_size():
     assert peak <= nbytes + (256 << 10)
 
 
-def test_crowded_table_keeps_no_guide():
-    # Rows of 512 evenly spaced entries put 8 keys in every bucket, more
-    # than a guided lookup counts; the table searches in sorted order.
-    row = (np.arange(512) + 1) / 512.0
-    inv = _InverseCdf(np.tile(row, 64), np.full(64, 512), 0)
+def _draws_like_searchsorted(inv, rng):
+    """Draw every row of ``inv`` at random uniforms and at each key and
+    the grid point below it, and compare with a search of the row's cdf."""
+    assert len(inv.keys) == 1
+    keys = inv.keys[0]
+    row_of = (keys >> np.uint64(_U_BITS)).astype(np.int64)
+    j = (keys & np.uint64((1 << _U_BITS) - 1)).astype(np.int64)
+    rows = np.concatenate((rng.integers(0, len(inv), 50_000), row_of, row_of))
+    u = np.concatenate((rng.random(50_000) * _U_SCALE, j, np.maximum(j - 1, 0))) / _U_SCALE
+    want = np.empty(len(u), dtype=np.int64)
+    for r in range(len(inv)):
+        lo, hi = np.searchsorted(row_of, [r, r + 1])
+        sel = rows == r
+        want[sel] = inv.base[r] + lo + np.searchsorted(j[lo:hi] / _U_SCALE, u[sel], side="right")
+    assert inv.draw(rows, u).tolist() == want.tolist()
+
+
+def test_wide_level_sizes_its_guide_from_its_rows():
+    # Level 15 of the four-slot pile holds about 2,200 keys a row, so its
+    # guide has 2^9 buckets a row (about 4 keys each) and the table keeps it.
+    sampler = _DyadicSampler(make_periodic((0.9, 0.9, 0.1, 0.1)))
+    sampler.draw(np.array([1 << 15]), np.random.default_rng(0))
+    inv = sampler.levels[15].inv
+    g = _U_BITS - inv.shift
+    assert g > _GUIDE_BITS and (4 << g) * len(inv) <= sum(map(len, inv.keys)) < (8 << g) * len(inv)
+    assert inv.guides is not None
+    assert sum(a.nbytes for a in inv.guides) <= _guide_bound(inv)
+    far = np.concatenate(inv.guides) < 0
+    assert 0.0 < far.mean() <= 0.25
+    _draws_like_searchsorted(inv, np.random.default_rng(1))
+
+
+def test_tiny_table_keeps_no_guide():
+    # Level 0 of (0.9, 0.1) holds one key a row: its buckets lie within
+    # _GUIDE_SPAN keys of the array's end, so the table keeps no guide and
+    # even a large batch takes the plain search.
+    sampler = _DyadicSampler(make_periodic((0.9, 0.1)))
+    inv = sampler.levels[0].inv
+    assert sum(map(len, inv.keys)) == len(inv) == 2
+    assert inv.shift == _U_BITS - _GUIDE_BITS
     assert inv.guides is None
-    rng = np.random.default_rng(0)
-    rows, u = rng.integers(0, 64, 1000), rng.random(1000)
-    assert inv.draw(rows, u).tolist() == np.searchsorted(row, u, side="right").tolist()
+    _draws_like_searchsorted(inv, np.random.default_rng(2))
+    # Many rows of one key each leave few buckets near the end: guided.
     assert _InverseCdf(np.tile([0.5, 1.0], 64), np.full(64, 2), 0).guides is not None
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from erwlab import kks
 from erwlab.bpm import ZEnsembleResult, absorb
 from erwlab.environments import make_periodic, parse_env
 from erwlab.kks import (
+    _TABLE_CAP,
     _cached_table,
     _directed,
     _escape_threshold,
@@ -70,6 +72,38 @@ def test_long_success_runs_reach_the_scalar_stragglers():
     res = simulate_Z_ensemble(env, "right", 50, 50, master_seed=S)
     assert res.survival_frequency > 0.9
     assert res.escaped == res.survivors
+
+
+def test_lockstep_step_one_past_the_table_cap(monkeypatch):
+    # The table serves sizes up to its cap and the exact samplers the rest,
+    # so a batch whose largest size is cap + 1 must not reach the table
+    # with that size.  Catch the step that the ensemble hands to absorb
+    # and replay its draws from equal generator states.
+    env = make_periodic((0.9, 0.9, 0.1, 0.1))
+    caught = {}
+    monkeypatch.setattr(kks, "absorb", lambda *args: caught.update(step=args[4], one=args[5]))
+    simulate_Z_ensemble(env, "right", 1000, 1, master_seed=S)
+    table = _cached_table(env, _TABLE_CAP)
+    one, many = _samplers(env)
+    cap = len(table)
+    esc = _escape_threshold(env, 1000)
+    assert esc is None or esc > cap + 1  # so the ensemble's table is this one
+    for x in ([1, cap, 7, cap - 1, 300], [1, cap + 1, 7, cap, cap + 1, 300]):
+        x = np.array(x)
+        a, b = substream(S, TAG_GENERAL, 40, len(x)), substream(S, TAG_GENERAL, 40, len(x))
+        got = caught["step"](x, a)
+        u = b.random(len(x))
+        small = x <= cap
+        want = np.empty(len(x), dtype=np.int64)
+        want[small] = table.draw(x[small] - 1, u[small])
+        want[~small] = many(x[~small], b)
+        assert got.tolist() == want.tolist()
+        assert a.random() == b.random()  # both took the same draws
+    for z in (cap, cap + 1):
+        a, b = substream(S, TAG_GENERAL, 41, z), substream(S, TAG_GENERAL, 41, z)
+        want = table.draw_one(z - 1, b.random()) if z <= cap else one(z, b)
+        assert caught["one"](z, a) == want
+        assert a.random() == b.random()
 
 
 @pytest.mark.parametrize(
