@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any, Optional, Sequence
@@ -70,8 +71,20 @@ def _env_of(args: argparse.Namespace) -> CookieEnvironment:
     return parse_env(_require(args, "env"))
 
 
+def _json_value(value: Any) -> Any:
+    """``value`` with every infinite float written as "inf" or "-inf",
+    which strict JSON has no number for."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_json_value(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,6 +23,7 @@ that survival means directional transience of the walk.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,17 +106,19 @@ def _failure_counts(env: CookieEnvironment, size: int, floor: float,
     into it reaches ``floor``.  Trial n, with failure
     chance q_n, yields ``(lo, chances)``: failure lo + i + 1 lands on it
     with chance ``chances[i] = q_n * live[lo + i]``.  The sweep stops once
-    the window holds less than ``tail_eps``, read every 32 trials.
+    the window holds less than ``tail_eps``, read every 32 trials.  Its
+    three uses: the oracle, and the chain table's two sweeps (windows,
+    then chances), which yield the same trials.
     """
     cap = _horizon_cap(env, size)
     live = np.zeros(size)
     live[0] = 1.0
     lo, hi = 0, 1
+    cookies = itertools.chain(env.prefix, itertools.cycle(env.cycle))
     # Termination reads the live window directly; a running "absorbed"
     # total cannot be trusted to cross 1 - tail_eps because its own
     # rounding error is of the same order.
-    for n in range(1, cap + 1):
-        c = env.cookie_at(n)
+    for n, c in zip(range(1, cap + 1), cookies):
         window = live[lo:hi]
         chances = (1.0 - c) * window
         yield lo, chances
@@ -621,50 +624,89 @@ def step_sampler(
 _TABLE_CAP = _KEY_ROWS
 
 
+# Rows trimmed and accumulated together by ``_chain_table``.
+_TRIM_ROWS = 64
+
+
 def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     """Inverse-CDF rows of U(x) for x = 1 .. cap, row x - 1 for U(x).
 
-    Built from one sweep of ``_failure_counts`` with a window floor of
-    1e-18: the x-th failure lands on trial n exactly when the free
-    process has x - 1 failures after n - 1 trials and trial n fails, so
-    each trial's chances feed every row in the window.  Its ends never
-    move back, so row x is one run of trials.  Rows are trimmed to
-    relative mass 1 - 2e-15 and renormalized (within 3e-13 of the oracle
-    in total variation, as measured up to x = 2048); the table backs
-    samplers only, never the oracle.  The cap is at most ``_TABLE_CAP``
-    = 2^11 rows, which one key array addresses.
+    Built from ``_failure_counts`` with a window floor of 1e-18: the
+    x-th failure lands on trial n exactly when the free process has
+    x - 1 failures after n - 1 trials and trial n fails, so each trial's
+    chances feed every row in the window.  Its ends never move back, so
+    row x is one run of trials.  Rows are trimmed to relative mass
+    1 - 2e-15 and renormalized (within 3e-13 of the oracle in total
+    variation, as measured up to x = 2048); the table backs samplers
+    only, never the oracle.  The cap is at most ``_TABLE_CAP`` = 2^11
+    rows, which one key array addresses.
+
+    A first sweep records each trial's window, which sizes one float64
+    buffer laid out row by row; a second scatters the chances into it.
+    ``_trim_rows`` then trims and accumulates ``_TRIM_ROWS`` rows at a
+    time, compacting them towards the buffer's front, and the keys
+    overwrite the buffer.  So the build holds one float64 per windowed
+    (row, trial) pair plus about two per cell of one zero-padded block.
     """
+    spans = ((lo, lo + len(c)) for lo, c in _failure_counts(env, cap, 1e-18, 1e-16))
     try:
-        los, emitted = zip(*_failure_counts(env, cap, 1e-18, 1e-16))
+        windows = np.fromiter(spans, np.dtype((np.int64, 2)))
     except OracleHorizonError as exc:
         raise InternalConsistencyError(f"sampler table build: {exc}") from exc
-    lo = np.array(los)
-    hi = lo + [len(e) for e in emitted]
-    flat = np.concatenate(emitted)
-    del emitted
-    # Trial t (from 0) emits failure f + 1 at flat[base[t] + f] for
-    # lo[t] <= f < hi[t].  Row f takes trials first[f] .. ends[f] - 1,
-    # success counts t - f.
-    base = np.cumsum(hi - lo) - hi
+    # Trial t (from 0) emits failure f + 1 for lo[t] <= f < hi[t].  Row f
+    # takes trials first[f] .. ends[f] - 1, success counts t - f, and its
+    # trial t sits at buf[to[f] + t].
     rows = np.arange(cap)
-    first = np.searchsorted(hi, rows, side="right")
-    ends = np.searchsorted(lo, rows, side="right")
-    row_k0 = first - rows
-    pieces: list[np.ndarray] = []
-    for f in range(cap):
-        row = flat[base[first[f] : ends[f]] + f]
-        total = row.sum()
-        cs = np.cumsum(row)
-        k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
-        k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
-        cdf = np.cumsum(row[k_lo:k_hi])
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        row_k0[f] += k_lo
-        pieces.append(cdf)
-    del flat
-    sizes = np.array([len(p) for p in pieces])
-    return _InverseCdf(np.concatenate(pieces), sizes, row_k0)
+    first = np.searchsorted(windows[:, 1], rows, side="right")
+    ends = np.searchsorted(windows[:, 0], rows, side="right")
+    del windows
+    bounds = np.concatenate(([0], np.cumsum(ends - first)))
+    to = bounds[:-1] - first
+    buf = np.empty(bounds[-1])
+    for t, (lo, chances) in enumerate(_failure_counts(env, cap, 1e-18, 1e-16)):
+        buf[to[lo : lo + len(chances)] + t] = chances
+    k0 = first - rows
+    sizes = np.empty(cap, dtype=np.int64)
+    w = 0
+    for r0 in range(0, cap, _TRIM_ROWS):
+        r1 = min(r0 + _TRIM_ROWS, cap)
+        k_lo, sizes[r0:r1] = _trim_rows(buf, bounds[r0 : r1 + 1], w)
+        k0[r0:r1] += k_lo
+        w += int(sizes[r0:r1].sum())
+    # No view of buf is alive, so it may shrink in place.
+    buf.resize(w, refcheck=False)
+    return _InverseCdf(buf, sizes, k0)
+
+
+def _trim_rows(buf: np.ndarray, bounds: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trim and accumulate the rows buf[bounds[i] : bounds[i + 1]] and
+    write their cdf rows, one after another, to buf from w <= bounds[0].
+    Return each row's first kept entry and kept length.
+
+    Bit for bit, each row is trimmed and accumulated as on its own: its
+    total is its own contiguous ``sum``, and the zeros padding it in the
+    block add exactly in the block's cumsums."""
+    n = np.diff(bounds)
+    totals = np.array([buf[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])[:, None]
+    col = np.arange(n.max())
+    inside = col < n[:, None]
+    block = np.zeros((len(n), len(col)))
+    block[inside] = buf[bounds[0] : bounds[-1]]
+    np.cumsum(block, axis=1, out=block)
+    # A cumsum never decreases, so a count below a threshold is a left
+    # searchsorted; past its row, the padding repeats the row's last sum.
+    k_lo = (block < _ROW_TAIL * totals).sum(axis=1)
+    k_hi = np.minimum((block < (1.0 - _ROW_TAIL) * totals).sum(axis=1) + 1, n)
+    block[inside] = buf[bounds[0] : bounds[-1]]
+    del inside
+    keep = (col >= k_lo[:, None]) & (col < k_hi[:, None])
+    block[~keep] = 0.0
+    np.cumsum(block, axis=1, out=block)
+    # A row's last entry becomes x / x, exactly 1.
+    block /= block[np.arange(len(n)), k_hi - 1][:, None]
+    cdf = block[keep]
+    buf[w : w + len(cdf)] = cdf
+    return k_lo, k_hi - k_lo
 
 
 _cached_table = lru_cache(maxsize=8)(_chain_table)

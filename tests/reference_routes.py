@@ -10,7 +10,13 @@ import numpy as np
 
 from erwlab.bpm import BpmModel, _bpm_step
 from erwlab.environments import CookieEnvironment
-from erwlab.kks import _DyadicSampler, _require_nondegenerate
+from erwlab.kks import (
+    _ROW_TAIL,
+    _DyadicSampler,
+    _failure_counts,
+    _InverseCdf,
+    _require_nondegenerate,
+)
 from erwlab.periodic import InternalConsistencyError
 
 
@@ -59,6 +65,37 @@ def full_forward_U_masses(env: CookieEnvironment, x: int, trials: int) -> np.nda
         if n >= x:
             masses.append(chances[-1])
     return np.array(masses)
+
+
+def chain_table_rowwise(env: CookieEnvironment, cap: int) -> _InverseCdf:
+    """The chain table built one row at a time: one sweep of
+    ``_failure_counts`` keeps every trial's chances, then each row is
+    gathered, trimmed and accumulated on its own."""
+    los, emitted = zip(*_failure_counts(env, cap, 1e-18, 1e-16))
+    lo = np.array(los)
+    hi = lo + [len(e) for e in emitted]
+    flat = np.concatenate(emitted)
+    # Trial t (from 0) emits failure f + 1 at flat[base[t] + f] for
+    # lo[t] <= f < hi[t]; row f takes trials first[f] .. ends[f] - 1.
+    base = np.cumsum(hi - lo) - hi
+    rows = np.arange(cap)
+    first = np.searchsorted(hi, rows, side="right")
+    ends = np.searchsorted(lo, rows, side="right")
+    row_k0 = first - rows
+    pieces = []
+    for f in range(cap):
+        row = flat[base[first[f] : ends[f]] + f]
+        total = row.sum()
+        cs = np.cumsum(row)
+        k_lo = int(np.searchsorted(cs, _ROW_TAIL * total, side="left"))
+        k_hi = int(np.searchsorted(cs, (1.0 - _ROW_TAIL) * total, side="left")) + 1
+        cdf = np.cumsum(row[k_lo:k_hi])
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        row_k0[f] += k_lo
+        pieces.append(cdf)
+    sizes = np.array([len(p) for p in pieces])
+    return _InverseCdf(np.concatenate(pieces), sizes, row_k0)
 
 
 def dyadic_vector_walk(

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from erwlab.bpm import (
     BpmModel,
@@ -206,6 +207,7 @@ def test_chain_drift_identity_and_monte_carlo_mean():
 # ---------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_transient_chain_survives_and_recurrent_chain_dies():
     t0 = time.perf_counter()
     env4 = make_periodic((0.9, 0.9, 0.1, 0.1))  # theta 4/3 > 1
@@ -231,6 +233,7 @@ def test_transient_chain_survives_and_recurrent_chain_dies():
 # ---------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_walk_ensembles_confirm_the_classification():
     t0 = time.perf_counter()
     env4 = make_periodic((0.9, 0.9, 0.1, 0.1))

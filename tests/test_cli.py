@@ -23,10 +23,19 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run_json(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 0, err
-    return json.loads(out)
+    return _strict_json(out)
 
 
 def _run_csv(capsys, argv):
@@ -82,6 +91,14 @@ def test_classify_bounded_and_tail_and_positive(capsys):
     r = _run_json(capsys, ["classify", "--positive-delta", str(delta)])["result"]
     assert r["classification"] == "TransientRight"
     assert r["method"] == "positive-drift"
+
+
+def test_infinite_positive_drift_prints_strict_json(capsys):
+    # classify_positive takes an infinite drift; strict JSON has no number for it.
+    payload = _run_json(capsys, ["classify", "--positive-delta", "inf"])
+    assert payload["config"]["positive_delta"] == "inf"
+    assert payload["result"]["delta"] == "inf"
+    assert payload["result"]["classification"] == "TransientRight"
 
 
 def test_classify_payload_has_one_shape_for_every_pile(capsys):
@@ -612,5 +629,5 @@ def test_out_writes_the_payload_to_a_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == ""
-    payload = json.loads(target.read_text())
+    payload = _strict_json(target.read_text())
     assert payload["result"]["classification"] == "Recurrent"

@@ -38,7 +38,7 @@ from erwlab.kks import (
 )
 from erwlab.periodic import InternalConsistencyError
 from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LADDER, substream
-from reference_routes import dyadic_vector_walk, sample_U_reference
+from reference_routes import chain_table_rowwise, dyadic_vector_walk, sample_U_reference
 
 S = DEFAULT_SEED
 
@@ -364,6 +364,40 @@ def test_table_rows_match_the_oracle(env, cap):
         b[: len(exact.mass)] = exact.mass
         tv = 0.5 * float(np.abs(a - b).sum()) + exact.tail_bound
         assert tv <= 1e-11, (x, tv)
+
+
+@pytest.mark.parametrize("cap", [1, 17, 300, _TABLE_CAP])
+@pytest.mark.parametrize(
+    "lit",
+    ["periodic:0.9,0.9,0.1,0.1", "periodic:0.9,0.1", "bounded:0.9,0.9", "tail:0.9,0.2@0.4",
+     "periodic:1.0,0.2"],
+)
+def test_chain_table_matches_the_row_by_row_build(lit, cap):
+    # Blocks of rows trim and accumulate each row bit for bit as a cumsum
+    # of that row alone would; caps 1 and 17 sit below one block, and 300
+    # and 2048 end on a partial one.  (1.0, 0.2) has sure steps.
+    table = _chain_table(parse_env(lit), cap)
+    ref = chain_table_rowwise(parse_env(lit), cap)
+    assert [k.tobytes() for k in table.keys] == [k.tobytes() for k in ref.keys]
+    assert table.base.tobytes() == ref.base.tobytes()
+    assert table.shift == ref.shift
+    assert (table.guides is None) == (ref.guides is None)
+    if ref.guides is not None:
+        assert [g.tobytes() for g in table.guides] == [g.tobytes() for g in ref.guides]
+
+
+@pytest.mark.parametrize("lit", ["periodic:0.9,0.9,0.1,0.1", "bounded:0.9,0.9"])
+def test_chain_table_build_peaks_near_the_table_it_keeps(lit):
+    # The build holds one float64 per windowed (row, trial) pair and a
+    # block of rows at a time, and the keys overwrite that buffer, so its
+    # peak stays within 1 MiB of what the table keeps.
+    env = parse_env(lit)
+    tracemalloc.start()
+    table = _chain_table(env, _TABLE_CAP)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    kept = sum(a.nbytes for a in table.keys + table.guides) + table.base.nbytes
+    assert peak <= kept + (1 << 20), (peak, kept)
 
 
 def test_table_build_past_its_trial_cap_is_an_internal_error(monkeypatch):
