@@ -59,13 +59,7 @@ from .periodic import (
     half_half_threshold,
 )
 from .seeding import DEFAULT_SEED, default_seed, substream
-from .walk import (
-    WalkTrace,
-    edge_crossings,
-    ensemble_summary,
-    ensemble_walks,
-    run_walk,
-)
+from .walk import WalkTrace, edge_crossings, ensemble_walks
 
 __version__ = "0.1.0"
 
@@ -96,7 +90,6 @@ __all__ = [
     "diagnostics",
     "edge_crossings",
     "empirical_ladder",
-    "ensemble_summary",
     "ensemble_walks",
     "exact_U_distribution",
     "exact_moments",
@@ -110,7 +103,6 @@ __all__ = [
     "parse_env",
     "parse_migration",
     "parse_offspring",
-    "run_walk",
     "sample_U",
     "sample_U_many",
     "simulate_Z_ensemble",

@@ -193,8 +193,6 @@ _PACK_ROWS = 16  # divides _KEY_ROWS
 _GUIDE_BITS = 6
 _GUIDE_SPAN = 4
 _GUIDE_FAR = 0.25
-# Batches of at most this many queries take the plain search.
-_SMALL_BATCH = 128
 
 
 def _guided_search(keys: np.ndarray, guide: np.ndarray, shift: int, q: np.ndarray) -> np.ndarray:
@@ -237,12 +235,12 @@ class _InverseCdf:
     malloc's mmap threshold, and the fragmented heap then lifts later
     peaks (5 % in the chain benchmark).
 
-    Search: a batch above ``_SMALL_BATCH`` queries goes through the
+    Search: every ``draw`` batch, whatever its size, goes through the
     table's Chen-Asau guide (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, section III.2.4); a smaller batch, or any batch on
-    a table that keeps no guide, is one plain ``searchsorted``.  A row
-    has 2^g buckets, g the largest value with 2^g * ``_GUIDE_SPAN`` at
-    most the table's mean keys per row, and never below ``_GUIDE_BITS``.
+    Generation*, 1986, section III.2.4); on a table that keeps no guide,
+    and in ``draw_one``, a lookup is one plain ``searchsorted``.  A row has
+    2^g buckets, g the largest value with 2^g * ``_GUIDE_SPAN`` at most
+    the table's mean keys per row, and never below ``_GUIDE_BITS``.
     Bucket b of row r holds the keys whose j lies in [b, b + 1) *
     2^(53 - g), and the guide stores the position of its first key.  The
     query's top 11 + g bits are its row and bucket, so one gather finds
@@ -324,7 +322,7 @@ class _InverseCdf:
 
     def _search(self, c: int, q: np.ndarray) -> np.ndarray:
         keys = self.keys[c]
-        if len(q) <= _SMALL_BATCH or self.guides is None:
+        if self.guides is None:
             return keys.searchsorted(q, side="right")
         return _guided_search(keys, self.guides[c], self.shift, q)
 

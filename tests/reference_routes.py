@@ -6,6 +6,9 @@ or a fixed point the direct way, so a test can hold the fast route to it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
 import numpy as np
 
 from erwlab.bpm import BpmModel, _bpm_step
@@ -18,6 +21,7 @@ from erwlab.kks import (
     _require_nondegenerate,
 )
 from erwlab.periodic import InternalConsistencyError
+from erwlab.walk import WalkTrace, _check_sizes
 
 
 def power_iteration_stationary(matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> np.ndarray:
@@ -126,3 +130,79 @@ def bpm_step_samples(
     if x < 1:
         raise ValueError("step samples need x >= 1")
     return _bpm_step(model, np.full(size, x, dtype=np.int64), rng)
+
+
+def run_walk(
+    env: CookieEnvironment,
+    steps: int,
+    rng: np.random.Generator,
+    record_every: int = 0,
+    local_times: Optional[dict[int, int]] = None,
+) -> WalkTrace:
+    """One walk from the origin for ``steps`` steps, on raw visit counts
+    and one uniform per step: the scalar reference for the lockstep
+    engine's rows.  A ``local_times`` dict given is filled with every
+    visited site's number of visits, counting the arrival at the final
+    site."""
+    _check_sizes(steps, 1, record_every)
+    visits = {} if local_times is None else local_times
+    pos = minpos = maxpos = returns = 0
+    first_m1: Optional[int] = None
+    recorded = [0]
+    for k in range(1, steps + 1):
+        c = visits.get(pos, 0) + 1
+        visits[pos] = c
+        pos += 1 if rng.random() < env.cookie_at(c) else -1
+        if pos == 0:
+            returns += 1
+        if pos == -1 and first_m1 is None:
+            first_m1 = k
+        minpos = min(minpos, pos)
+        maxpos = max(maxpos, pos)
+        if record_every and k % record_every == 0:
+            recorded.append(pos)
+    visits[pos] = visits.get(pos, 0) + 1
+    return WalkTrace(
+        steps=steps,
+        final_position=pos,
+        max_abs_position=max(-minpos, maxpos),
+        returns_to_origin=returns,
+        first_hit_minus1=first_m1,
+        distinct_sites=maxpos - minpos + 1,
+        positions=np.asarray(recorded, dtype=np.int64) if record_every else None,
+    )
+
+
+@dataclass(frozen=True)
+class WalkEnsembleSummary:
+    trials: int
+    steps: int
+    mean_final_position: float
+    median_final_position: float
+    fraction_final_positive: float
+    mean_returns_to_origin: float
+    median_returns_to_origin: float
+    first_hit_minus1_frequency: float
+    mean_max_abs_position: float
+    mean_distinct_sites: float
+
+
+def ensemble_summary(traces: Sequence[WalkTrace]) -> WalkEnsembleSummary:
+    """Deterministic reduction of per-trial walk summaries."""
+    if not traces:
+        raise ValueError("no traces to summarize")
+    finals = np.array([t.final_position for t in traces], dtype=float)
+    rets = np.array([t.returns_to_origin for t in traces], dtype=float)
+    hits = np.array([t.first_hit_minus1 is not None for t in traces], dtype=float)
+    return WalkEnsembleSummary(
+        trials=len(traces),
+        steps=traces[0].steps,
+        mean_final_position=float(finals.mean()),
+        median_final_position=float(np.median(finals)),
+        fraction_final_positive=float(np.mean(finals > 0)),
+        mean_returns_to_origin=float(rets.mean()),
+        median_returns_to_origin=float(np.median(rets)),
+        first_hit_minus1_frequency=float(hits.mean()),
+        mean_max_abs_position=float(np.mean([t.max_abs_position for t in traces])),
+        mean_distinct_sites=float(np.mean([t.distinct_sites for t in traces])),
+    )

@@ -21,7 +21,6 @@ from erwlab.kks import (
     _GUIDE_SPAN,
     _KEY_ROWS,
     _SCALAR_ROWS,
-    _SMALL_BATCH,
     _TABLE_CAP,
     _U_BITS,
     _U_SCALE,
@@ -216,9 +215,7 @@ def test_packed_search_matches_row_searchsorted(n_rows):
         qr += [r] * len(u)
         qu += list(u)
         want += list(k0[r] + np.searchsorted(rows[r], u, side="right"))
-    # Each key array gets a batch above the size that a guide serves.
-    qr, qu, want = np.tile(qr, 4), np.tile(qu, 4), want * 4
-    assert np.bincount(qr >> 11).min() > _SMALL_BATCH
+    qr, qu = np.array(qr), np.array(qu)
     inv = _InverseCdf(np.concatenate(rows), sizes, k0)
     guides = inv.guides
     assert guides is not None
@@ -228,9 +225,8 @@ def test_packed_search_matches_row_searchsorted(n_rows):
         assert len(inv) == n_rows
         assert inv.draw(qr, qu).tolist() == want
         assert [inv.draw_one(r, u) for r, u in zip(qr, qu)] == want
-        # Small batches take the plain search.
-        got = [inv.draw(qr[i : i + _SMALL_BATCH], qu[i : i + _SMALL_BATCH])
-               for i in range(0, len(qr), _SMALL_BATCH)]
+        # Small batches take the same route as the whole batch.
+        got = [inv.draw(qr[i : i + 128], qu[i : i + 128]) for i in range(0, len(qr), 128)]
         assert np.concatenate(got).tolist() == want
     # In the guided table, queries land both in buckets the guide serves
     # and in buckets that hold more than _GUIDE_SPAN keys, whose entry is -1.

@@ -1,4 +1,5 @@
-"""Direct walk simulation: the scalar reference walk, ensembles, crossings.
+"""Direct walk simulation: ensembles and crossings, against the scalar
+reference walk of ``reference_routes``.
 
 The lockstep engine keeps reduced occupation counts; its ensemble and
 crossing rows must reproduce the raw-count scalar walk on each trial's
@@ -8,21 +9,19 @@ the same law as the crossing chain built from exact step draws.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from erwlab import walk
 from erwlab.environments import CookieEnvironment, make_bounded, make_periodic, parse_env
 from erwlab.kks import sample_U
 from erwlab.seeding import DEFAULT_SEED, TAG_CROSSINGS, TAG_GENERAL, TAG_WALK, substream
-from erwlab.walk import (
-    _cookie_tables,
-    _Grid,
-    edge_crossings,
-    ensemble_summary,
-    ensemble_walks,
-    run_walk,
-)
+from erwlab.walk import _EXTENT, _cookie_tables, _widen, edge_crossings, ensemble_walks
+
+from reference_routes import ensemble_summary, run_walk
 
 S = DEFAULT_SEED
 
@@ -52,9 +51,8 @@ def test_final_position_has_step_parity():
 
 def test_local_times_account_for_every_step():
     env = make_periodic((0.8, 0.3))
-    trace = run_walk(env, 2_500, substream(S, TAG_GENERAL, 52))
-    counts = trace.local_times
-    assert counts is not None
+    counts: dict[int, int] = {}
+    trace = run_walk(env, 2_500, substream(S, TAG_GENERAL, 52), local_times=counts)
     assert sum(counts.values()) == 2_500 + 1
     assert counts.get(trace.final_position, 0) >= 1
     assert len(counts) >= trace.distinct_sites - 1
@@ -125,13 +123,57 @@ def test_cookie_states_past_int16_do_not_wrap():
     # many visits, so the grid's dtype is checked without walking there.
     env = CookieEnvironment(prefix=(0.9, 0.1) * 20_000, cycle=(0.5,))
     probs, nxt = _cookie_tables(env)
-    grid = _Grid(1, nxt.dtype)
-    grid.counts[0, :3] = nxt[[32_767, 39_999, 40_000]]
-    assert grid.counts[0, :3].tolist() == [32_768, 40_000, 40_000]
-    grid.ensure(5_000)
-    assert grid.counts.dtype == nxt.dtype and len(probs) == 40_001
+    assert len(probs) == 40_001
+    counts = np.zeros((1, 2 * _EXTENT + 1), dtype=nxt.dtype)
+    counts[0, :3] = nxt[[32_767, 39_999, 40_000]]
+    counts, left, right = _widen(counts, _EXTENT, _EXTENT, -5_000, 0)
+    assert counts.dtype == nxt.dtype and (left, right) == (8_192, _EXTENT)
+    start = left - _EXTENT
+    assert counts[0, start : start + 3].tolist() == [32_768, 40_000, 40_000]
     traces = ensemble_walks(env, 300, 2, master_seed=S)
     assert traces[1] == run_walk(env, 300, substream(S, TAG_WALK, 1))
+
+
+def test_grid_widens_only_the_side_walkers_reach():
+    counts = np.arange(2 * 9).reshape(2, 9).astype(np.uint8)  # sites -4..4
+    same, left, right = _widen(counts, 4, 4, -4, 4)
+    assert same is counts and (left, right) == (4, 4)
+    grown, left, right = _widen(counts, 4, 4, -3, 9)
+    assert (left, right) == (4, 16) and grown.shape == (2, 21)
+    assert np.array_equal(grown[:, :9], counts) and not grown[:, 9:].any()
+    grown, left, right = _widen(counts, 4, 4, -5, 0)
+    assert (left, right) == (8, 4) and grown.shape == (2, 13)
+    assert np.array_equal(grown[:, 4:], counts) and not grown[:, :4].any()
+    assert grown.flags.c_contiguous
+
+
+def test_right_transient_ensemble_grows_its_grid_on_one_side(monkeypatch):
+    # Rows of this pile step right with probability 0.9 at every visit, so
+    # in 22,000 steps they reach about 17,600 and hardly go left: only the
+    # right extent grows, to 32,768 sites, and the 16 rows' grid holds
+    # 16 x 34,817 cells (0.56 MB).  A grid symmetric about the origin
+    # holds 16 x 65,537 (1.05 MB): the walk's traced peak was 1.15 MB with
+    # one-sided growth and 1.74 MB with a symmetric grid.
+    widen = walk._widen
+    extents = []
+
+    def recorded(*args):
+        grown = widen(*args)
+        extents.append(grown[1:])
+        return grown
+
+    monkeypatch.setattr(walk, "_widen", recorded)
+    env = make_periodic((0.9, 0.9))
+    ensemble_walks(env, 1, 1, master_seed=S)  # warm up
+    tracemalloc.start()
+    try:
+        traces = ensemble_walks(env, 22_000, 16, master_seed=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extents[-1] == (_EXTENT, 32_768)
+    assert min(t.final_position for t in traces) > 16_384
+    assert peak < 1_450_000
 
 
 def test_strong_right_drift_shows_in_the_ensemble():
@@ -257,6 +299,37 @@ def test_killed_group_dying_in_the_first_chunk_matches_the_scalar_walk():
         expect, death = _scalar_crossings(env, cap, edges, i)
         assert death is not None and death < 64
         assert counts[i].tolist() == expect and not censored[i]
+
+
+def test_killed_walk_returns_once_every_row_has_hit_minus_one(monkeypatch):
+    # A left-transient pile hits -1 in every trial, so a cap of 10^9 steps
+    # is never reached: the walk stops at the end of the chunk in which
+    # its last row dies (step 185, in the second chunk), and every row
+    # matches the scalar walk.  Rows that died walk on to that chunk's
+    # end, so edge -1 shows they count no crossings after their death.
+    # The engine widens its grid once per chunk; counting those calls
+    # turns a walk that does not stop into a failure instead of a hang.
+    widen = walk._widen
+    chunks = []
+
+    def counted(*args):
+        chunks.append(len(chunks))
+        assert len(chunks) < 100, "the killed walk did not stop"
+        return widen(*args)
+
+    monkeypatch.setattr(walk, "_widen", counted)
+    env = make_periodic((0.45, 0.45))
+    n, edges = 64, (-1, 0, 1)
+    counts, censored = edge_crossings(env, n, 10**9, edges=edges, master_seed=S)
+    assert not censored.any()
+    deaths = []
+    for i in range(n):
+        expect, death = _scalar_crossings(env, 3_000, edges, i)
+        assert death is not None
+        assert counts[i].tolist() == expect
+        deaths.append(death)
+    assert min(deaths) < 64 < max(deaths) < 192
+    assert len(chunks) == 2
 
 
 def test_crossing_counts_censor_at_the_cap():
