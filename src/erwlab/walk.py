@@ -27,7 +27,7 @@ from .environments import CookieEnvironment
 from .seeding import TAG_CROSSINGS, TAG_WALK, default_seed, substream
 
 _GROUP = 1024
-_STEP_CHUNK = 1024
+_STEP_CHUNK = 256
 # Sites each grid row first holds on either side of the origin.
 _EXTENT = 2048
 
@@ -108,16 +108,15 @@ def _lockstep(
 
     Steps run in chunks that double from 64 up to ``_STEP_CHUNK``, and
     every row walks to the end of each chunk.  A chunk's uniforms are
-    drawn into one (rows, chunk) buffer, each row from its own substream.
-    Each step only walks: it reads and advances the cookie state of every
-    row's grid cell, compares the row's uniform with that cookie, and
-    stores the row's next cell in a (chunk + 1, rows) path buffer.  The
-    path holds flat ``int64`` cell indices, since those are what the next
-    step's lookup takes (an ``int32`` index is widened on every lookup,
-    which costs more than its buffer saves).  Both buffers are reused by
-    every chunk, at most 8 MiB each for 1024 rows.  The path statistics
-    above are reduced from the path once per chunk, through (chunk, rows)
-    boolean temporaries of at most 1 MiB each.
+    drawn row by row, each from its row's substream, into a (rows, chunk)
+    buffer, then transposed into a (chunk, rows) one.  Each step only
+    walks: it takes and puts the cookie state of every row's cell,
+    compares the row's uniform with that cookie, and stores the row's
+    next cell in a (chunk + 1, rows) path of flat ``int64`` indices (an
+    ``int32`` index is widened on every lookup, which costs more than its
+    buffer saves).  The three buffers are reused by every chunk, at most
+    2 MiB each for 1024 rows; path statistics are reduced once per chunk,
+    through (chunk, rows) boolean temporaries of at most 256 KiB each.
 
     The grid holds one cell of the state table's dtype per row and site,
     for the sites -left..right.  Both extents start at ``_EXTENT``, and
@@ -146,30 +145,33 @@ def _lockstep(
     left = right = _EXTENT
     counts = np.zeros((width, left + right + 1), dtype=nxt.dtype)
     longest = min(steps, _STEP_CHUNK)
-    uniforms = np.empty((width, longest))
+    drawn, uniforms = np.empty((width, longest)), np.empty((longest, width))
     cells = np.empty((longest + 1, width), dtype=np.int64)
+    # Row s of ``cells`` is every walker's cell in ``flat`` after step s of
+    # a chunk; row s of ``uniforms`` moves it to row s + 1.
+    cell_rows, u_rows = list(cells), list(uniforms)
+    go, sign = np.empty(width, dtype=bool), np.array([-1, 1], dtype=np.int64)
     # Chunks double up to _STEP_CHUNK, so a killed walk whose rows all die
     # early stops early; a row's draws do not depend on the chunk sizes.
     done, chunk = 0, 64
     while done < steps and not (killed and first_m1.min() >= 0):
         cs = min(chunk, steps - done)
         chunk = min(2 * chunk, _STEP_CHUNK)
-        for gen, row in zip(gens, uniforms):
+        for gen, row in zip(gens, drawn):
             gen.random(out=row[:cs])
+        uniforms[:cs] = drawn[:, :cs].T
         counts, left, right = _widen(
             counts, left, right, int(pos.min()) - cs, int(pos.max()) + cs
         )
         flat = counts.reshape(-1)
         origin = np.arange(width) * counts.shape[1] + left
-        # Row s of ``path`` is every walker's cell in ``flat`` after step
-        # done + s; row 0 is the chunk's start.
         path = cells[: cs + 1]
         np.add(origin, pos, out=path[0])
-        for s in range(cs):
-            at = path[s]
-            c = flat[at]
-            flat[at] = nxt[c]
-            np.add(at, np.where(uniforms[:, s] < probs[c], 1, -1), out=path[s + 1])
+        for at, u_s, next_row in zip(cell_rows[:cs], u_rows, cell_rows[1 : cs + 1]):
+            c = flat.take(at)
+            flat.put(at, nxt.take(c))
+            np.less(u_s, probs.take(c), out=go)
+            np.add(at, sign.take(go), out=next_row)
 
         path -= origin
         prev, walked = path[:-1], path[1:]

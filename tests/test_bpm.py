@@ -16,6 +16,7 @@ from erwlab.bpm import (
     MigrationSpec,
     OffspringSpec,
     _bpm_step,
+    _bpm_step_one,
     classify_bpm,
     parse_migration,
     parse_offspring,
@@ -106,17 +107,22 @@ def test_zero_offspring_dies_in_one_generation():
     ids=["const", "table"],
 )
 def test_step_on_an_int_matches_a_one_row_array(offspring, migration):
-    # The lockstep and the scalar finish of simulate_bpm share one step;
-    # a population and a one-row array of it take the same draws.
+    # The lockstep and the scalar finish of simulate_bpm take the same
+    # draws: a population, a one-row array of it and the scalar finish's
+    # lean step all agree.
     m = _model(offspring, migration)
+    step_one = _bpm_step_one(m)
     a = substream(S, TAG_GENERAL, 14)
     b = substream(S, TAG_GENERAL, 14)
+    c = substream(S, TAG_GENERAL, 14)
     for z in (1, 2, 7, 300) * 25:
         one = _bpm_step(m, z, a)
         row = _bpm_step(m, np.array([z], dtype=np.int64), b)
+        lean = step_one(z, c)
         assert row.shape == (1,)
-        assert int(one) == int(row[0])
-    assert a.random() == b.random()
+        assert type(lean) is int
+        assert int(one) == int(row[0]) == lean
+    assert a.random() == b.random() == c.random()
 
 
 def test_supercritical_survival_matches_extinction_equation():

@@ -147,13 +147,8 @@ def test_grid_widens_only_the_side_walkers_reach():
     assert grown.flags.c_contiguous
 
 
-def test_right_transient_ensemble_grows_its_grid_on_one_side(monkeypatch):
-    # Rows of this pile step right with probability 0.9 at every visit, so
-    # in 22,000 steps they reach about 17,600 and hardly go left: only the
-    # right extent grows, to 32,768 sites, and the 16 rows' grid holds
-    # 16 x 34,817 cells (0.56 MB).  A grid symmetric about the origin
-    # holds 16 x 65,537 (1.05 MB): the walk's traced peak was 1.15 MB with
-    # one-sided growth and 1.74 MB with a symmetric grid.
+def _traced_ensemble(monkeypatch, env, steps, rows):
+    """(traces, tracemalloc peak, final grid extents) of one ensemble."""
     widen = walk._widen
     extents = []
 
@@ -163,17 +158,37 @@ def test_right_transient_ensemble_grows_its_grid_on_one_side(monkeypatch):
         return grown
 
     monkeypatch.setattr(walk, "_widen", recorded)
-    env = make_periodic((0.9, 0.9))
     ensemble_walks(env, 1, 1, master_seed=S)  # warm up
     tracemalloc.start()
     try:
-        traces = ensemble_walks(env, 22_000, 16, master_seed=S)
+        traces = ensemble_walks(env, steps, rows, master_seed=S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert extents[-1] == (_EXTENT, 32_768)
+    return traces, peak, extents[-1]
+
+
+def test_right_transient_ensemble_grows_its_grid_on_one_side(monkeypatch):
+    # Rows of this pile step right with probability 0.9 at every visit, so
+    # in 22,000 steps they reach about 17,600 and hardly go left: only the
+    # right extent grows, to 32,768 sites, and the 16 rows' grid holds
+    # 16 x 34,817 cells (0.56 MB).  A grid symmetric about the origin
+    # holds 16 x 65,537 (1.05 MB): the walk's traced peak was 1.15 MB with
+    # one-sided growth and 1.74 MB with a symmetric grid.
+    traces, peak, extents = _traced_ensemble(monkeypatch, make_periodic((0.9, 0.9)), 22_000, 16)
+    assert extents == (_EXTENT, 32_768)
     assert min(t.final_position for t in traces) > 16_384
     assert peak < 1_450_000
+
+
+def test_recurrent_ensemble_step_scratch_stays_small(monkeypatch):
+    # 128 recurrent rows of 10,000 steps never near the initial extents,
+    # so the grid stays at 128 x 4,097 one-byte cells (0.5 MiB).  The
+    # step scratch of 256-step chunks adds about 0.75 MiB: the traced
+    # peak was 1.56 MiB, against 2.94 MiB with 1,024-step chunks.
+    _, peak, extents = _traced_ensemble(monkeypatch, make_periodic((0.9, 0.1)), 10_000, 128)
+    assert extents == (_EXTENT, _EXTENT)
+    assert peak < 2_000_000
 
 
 def test_strong_right_drift_shows_in_the_ensemble():
@@ -330,6 +345,28 @@ def test_killed_walk_returns_once_every_row_has_hit_minus_one(monkeypatch):
         deaths.append(death)
     assert min(deaths) < 64 < max(deaths) < 192
     assert len(chunks) == 2
+
+
+def test_walk_outputs_do_not_depend_on_the_chunk_cap(monkeypatch):
+    # Chunks end at 64, 192, 448, ... while they double up to the cap,
+    # then every cap steps; no trace, recorded position, crossing count
+    # or censoring flag may depend on where they end.
+    env = make_periodic((0.7, 0.3, 0.4))
+    killed = make_periodic((0.9, 0.9, 0.1, 0.1))
+    runs = []
+    for cap in (64, 256, 1024):
+        monkeypatch.setattr(walk, "_STEP_CHUNK", cap)
+        traces = ensemble_walks(env, 3_100, 24, master_seed=S, record_every=7)
+        counts, censored = edge_crossings(killed, 60, 3_000, edges=(-1, 0, 1, 2),
+                                          master_seed=S)
+        runs.append((traces, np.stack([t.positions for t in traces]), counts, censored))
+    traces, positions, counts, censored = runs[0]
+    assert 0 < censored.sum() < len(censored)
+    for other in runs[1:]:
+        assert other[0] == traces
+        assert np.array_equal(other[1], positions)
+        assert np.array_equal(other[2], counts)
+        assert np.array_equal(other[3], censored)
 
 
 def test_crossing_counts_censor_at_the_cap():
