@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -178,23 +177,11 @@ def _bpm_step(
     return np.maximum(totals, 0)
 
 
-def _bpm_step_one(model: BpmModel) -> Callable[[int, np.random.Generator], int]:
-    """``int(_bpm_step(model, z, rng))`` for one int population, on Python
-    scalars: the same draws in the same order, without the array route's
-    overhead, for ``absorb``'s scalar finish."""
-    off, mig = model.offspring, model.migration
-    if off.family == "tabular":
-        return lambda z, rng: int(_bpm_step(model, z, rng))
-    geometric, mean, p = off.family == "geometric", off.mean, 1.0 / (1.0 + off.mean)
-    support = list(mig.support)
-    cdf = mig._inverse_cdf[0].tolist() if len(support) > 1 else None
-
-    def step_one(z: int, rng: np.random.Generator) -> int:
-        total = int(rng.negative_binomial(z, p) if geometric else rng.poisson(mean * z))
-        total += support[0] if cdf is None else support[bisect_right(cdf, rng.random())]
-        return max(total, 0)
-
-    return step_one
+def _bpm_step_one(model: BpmModel, z: int, rng: np.random.Generator) -> int:
+    """``int(_bpm_step(model, z, rng))`` without its array overhead: the
+    same draws in the same order, for the scalar finish of ``absorb``."""
+    total = _offspring_sums(model.offspring, z, rng) + _migration_draws(model.migration, None, rng)
+    return max(int(total), 0)
 
 
 @dataclass(frozen=True)
@@ -344,7 +331,7 @@ def simulate_bpm(
         trials,
         esc,
         lambda z, rng: _bpm_step(model, z, rng),
-        _bpm_step_one(model),
+        lambda z, rng: _bpm_step_one(model, z, rng),
         substream(master_seed, TAG_BPM),
     )
 

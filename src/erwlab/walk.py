@@ -108,15 +108,14 @@ def _lockstep(
 
     Steps run in chunks that double from 64 up to ``_STEP_CHUNK``, and
     every row walks to the end of each chunk.  A chunk's uniforms are
-    drawn row by row, each from its row's substream, into a (rows, chunk)
-    buffer, then transposed into a (chunk, rows) one.  Each step only
-    walks: it takes and puts the cookie state of every row's cell,
-    compares the row's uniform with that cookie, and stores the row's
-    next cell in a (chunk + 1, rows) path of flat ``int64`` indices (an
-    ``int32`` index is widened on every lookup, which costs more than its
-    buffer saves).  The three buffers are reused by every chunk, at most
-    2 MiB each for 1024 rows; path statistics are reduced once per chunk,
-    through (chunk, rows) boolean temporaries of at most 256 KiB each.
+    drawn row by row, each from its row's substream, then transposed to
+    (chunk, rows).  A step takes and puts the cookie state of each row's
+    cell, compares the row's uniform with it, and stores the row's next
+    cell in a (chunk + 1, rows) path of flat ``int64`` indices (``int32``
+    ones are widened on every lookup, which costs more than they save).
+    The three buffers are reused by every chunk, each at most (chunk + 1)
+    x rows 8-byte words, just over 2 MiB at 1024 rows; path statistics use
+    (chunk, rows) boolean temporaries, 256 KiB each at 1024 rows.
 
     The grid holds one cell of the state table's dtype per row and site,
     for the sites -left..right.  Both extents start at ``_EXTENT``, and
@@ -147,8 +146,7 @@ def _lockstep(
     longest = min(steps, _STEP_CHUNK)
     drawn, uniforms = np.empty((width, longest)), np.empty((longest, width))
     cells = np.empty((longest + 1, width), dtype=np.int64)
-    # Row s of ``cells`` is every walker's cell in ``flat`` after step s of
-    # a chunk; row s of ``uniforms`` moves it to row s + 1.
+    # Step s of a chunk moves each walker from row s of ``cells`` to s + 1.
     cell_rows, u_rows = list(cells), list(uniforms)
     go, sign = np.empty(width, dtype=bool), np.array([-1, 1], dtype=np.int64)
     # Chunks double up to _STEP_CHUNK, so a killed walk whose rows all die

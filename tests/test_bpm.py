@@ -111,14 +111,13 @@ def test_step_on_an_int_matches_a_one_row_array(offspring, migration):
     # draws: a population, a one-row array of it and the scalar finish's
     # lean step all agree.
     m = _model(offspring, migration)
-    step_one = _bpm_step_one(m)
     a = substream(S, TAG_GENERAL, 14)
     b = substream(S, TAG_GENERAL, 14)
     c = substream(S, TAG_GENERAL, 14)
     for z in (1, 2, 7, 300) * 25:
         one = _bpm_step(m, z, a)
         row = _bpm_step(m, np.array([z], dtype=np.int64), b)
-        lean = step_one(z, c)
+        lean = _bpm_step_one(m, z, c)
         assert row.shape == (1,)
         assert type(lean) is int
         assert int(one) == int(row[0]) == lean
