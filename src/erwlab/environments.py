@@ -222,9 +222,18 @@ def parse_env(text: str) -> CookieEnvironment:
     raise ValueError(f"unknown environment kind {head!r}")
 
 
+def _literal(values: tuple[float, ...], exact: Optional[tuple[Fraction, ...]]) -> str:
+    """Entries as float reprs; an exact entry whose repr parses to
+    another fraction is written as ``p/q``."""
+    if exact is None:
+        return ",".join(map(repr, values))
+    return ",".join(repr(f) if Fraction(repr(f)) == q else str(q) for f, q in zip(values, exact))
+
+
 def format_env(env: CookieEnvironment) -> str:
-    """Literal round-tripping through :func:`parse_env`."""
-    cycle = ",".join(map(repr, env.cycle))
+    """Literal round-tripping through :func:`parse_env`, exact fractions
+    included."""
+    cycle = _literal(env.cycle, env.exact_cycle)
     if not env.prefix:
         return f"periodic:{cycle}"
-    return f"tail:{','.join(map(repr, env.prefix))}@{cycle}"
+    return f"tail:{_literal(env.prefix, env.exact_prefix)}@{cycle}"

@@ -622,10 +622,6 @@ def step_sampler(
 _TABLE_CAP = _KEY_ROWS
 
 
-# Rows trimmed and accumulated together by ``_chain_table``.
-_TRIM_ROWS = 64
-
-
 def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     """Inverse-CDF rows of U(x) for x = 1 .. cap, row x - 1 for U(x).
 
@@ -641,10 +637,10 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
 
     A first sweep records each trial's window, which sizes one float64
     buffer laid out row by row; a second scatters the chances into it.
-    ``_trim_rows`` then trims and accumulates ``_TRIM_ROWS`` rows at a
-    time, compacting them towards the buffer's front, and the keys
-    overwrite the buffer.  So the build holds one float64 per windowed
-    (row, trial) pair plus about two per cell of one zero-padded block.
+    Each row is then trimmed and accumulated on its own, and its cdf
+    written towards the buffer's front; the keys overwrite the buffer.
+    So the build holds one float64 per windowed (row, trial) pair plus
+    one row's temporaries.
     """
     spans = ((lo, lo + len(c)) for lo, c in _failure_counts(env, cap, 1e-18, 1e-16))
     try:
@@ -666,45 +662,24 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     k0 = first - rows
     sizes = np.empty(cap, dtype=np.int64)
     w = 0
-    for r0 in range(0, cap, _TRIM_ROWS):
-        r1 = min(r0 + _TRIM_ROWS, cap)
-        k_lo, sizes[r0:r1] = _trim_rows(buf, bounds[r0 : r1 + 1], w)
-        k0[r0:r1] += k_lo
-        w += int(sizes[r0:r1].sum())
+    for r in range(cap):
+        a, b = int(bounds[r]), int(bounds[r + 1])
+        row = buf[a:b]
+        total = float(row.sum())
+        cs = row.cumsum()
+        lo = int(cs.searchsorted(_ROW_TAIL * total))
+        hi = min(int(cs.searchsorted((1.0 - _ROW_TAIL) * total)) + 1, b - a)
+        cdf = row[lo:hi].cumsum() if lo else cs[:hi]
+        # The last entry becomes x / x, exactly 1; w <= a, so no unread
+        # row is overwritten.
+        np.divide(cdf, cdf[-1], out=buf[w : w + hi - lo])
+        k0[r] += lo
+        sizes[r] = hi - lo
+        w += hi - lo
+    del row
     # No view of buf is alive, so it may shrink in place.
     buf.resize(w, refcheck=False)
     return _InverseCdf(buf, sizes, k0)
-
-
-def _trim_rows(buf: np.ndarray, bounds: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trim and accumulate the rows buf[bounds[i] : bounds[i + 1]] and
-    write their cdf rows, one after another, to buf from w <= bounds[0].
-    Return each row's first kept entry and kept length.
-
-    Bit for bit, each row is trimmed and accumulated as on its own: its
-    total is its own contiguous ``sum``, and the zeros padding it in the
-    block add exactly in the block's cumsums."""
-    n = np.diff(bounds)
-    totals = np.array([buf[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])[:, None]
-    col = np.arange(n.max())
-    inside = col < n[:, None]
-    block = np.zeros((len(n), len(col)))
-    block[inside] = buf[bounds[0] : bounds[-1]]
-    np.cumsum(block, axis=1, out=block)
-    # A cumsum never decreases, so a count below a threshold is a left
-    # searchsorted; past its row, the padding repeats the row's last sum.
-    k_lo = (block < _ROW_TAIL * totals).sum(axis=1)
-    k_hi = np.minimum((block < (1.0 - _ROW_TAIL) * totals).sum(axis=1) + 1, n)
-    block[inside] = buf[bounds[0] : bounds[-1]]
-    del inside
-    keep = (col >= k_lo[:, None]) & (col < k_hi[:, None])
-    block[~keep] = 0.0
-    np.cumsum(block, axis=1, out=block)
-    # A row's last entry becomes x / x, exactly 1.
-    block /= block[np.arange(len(n)), k_hi - 1][:, None]
-    cdf = block[keep]
-    buf[w : w + len(cdf)] = cdf
-    return k_lo, k_hi - k_lo
 
 
 _cached_table = lru_cache(maxsize=8)(_chain_table)
@@ -828,7 +803,7 @@ class LadderStats:
             raise ValueError("ladder CSV is empty")
         header = list(rows[0])
         if header != list(LadderStats.FIELDS):
-            raise ValueError(f"unexpected ladder header {header!r}")
+            raise ValueError(f"ladder CSV has unexpected header {header!r}")
         entries = []
         for row in rows[1:]:
             if len(row) != len(header):
@@ -885,7 +860,8 @@ def empirical_ladder(
         m1 = s1 / n
         m2 = s2 / n
         if m2 <= 0.0:
-            raise InternalConsistencyError(f"degenerate diffusion estimate at x={x}")
+            raise ValueError(f"degenerate diffusion estimate at x={x}: "
+                             f"every draw of U(x) equals mu x = {mu * x:g}")
         var_v = max(m2 - m1 * m1, 0.0)
         var_v2 = max(s4 / n - m2 * m2, 0.0)
         cov = s3 / n - m1 * m2

@@ -70,6 +70,16 @@ def test_classify_off_critical_has_null_theta(capsys):
     assert r["nu"] == pytest.approx(4.0 * (0.16 + 0.21))
 
 
+@pytest.mark.parametrize("literal", ["periodic:1/3,2/3", "tail:1/10@1/3,2/3"])
+def test_echoed_environment_classifies_the_same(capsys, literal):
+    # The echo names the same pile: 1/3 written as 0.3333333333333333
+    # would make periodic:1/3,2/3 (Recurrent) read as TransientLeft.
+    first = _run_json(capsys, ["classify", "--env", literal])["result"]
+    again = _run_json(capsys, ["classify", "--env", first["environment"]])["result"]
+    assert again["environment"] == first["environment"]
+    assert again["classification"] == first["classification"]
+
+
 def test_classify_fraction_literal_is_exactly_critical(capsys):
     r = _run_json(capsys, ["classify", "--env", "periodic:9/10,1/10"])["result"]
     assert r["classification"] == "Recurrent"
@@ -222,6 +232,16 @@ def test_ladder_csv_header_and_reproducibility(capsys):
     assert int(rows1[1][1]) == 2000
 
 
+def test_ladder_without_spread_is_a_clean_error(capsys):
+    # Every draw of U(10) on (1.0, 0.0) is exactly mu x = 10.
+    argv = ["ladder", "--env", "periodic:1.0,0.0", "--xs", "10", "--trials", "100"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("erwlab: error: degenerate diffusion estimate at x=10")
+    assert "Traceback" not in err
+
+
 def test_walk_csv_rows_are_per_trial(capsys):
     rows = _run_csv(
         capsys,
@@ -370,8 +390,9 @@ def test_criterion_round_trip_through_ladder_csv(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x,trials,rho_hat,nu_hat,theta_hat,se_rho,se_nu,se_theta\n100,1000,0.5\n"],
-    ids=["empty", "short-row"],
+    ["", "x,trials,rho_hat,nu_hat,theta_hat,se_rho,se_nu,se_theta\n100,1000,0.5\n",
+     "x,trials,rho,nu,theta,se_rho,se_nu,se_theta\n100,1000,0.5,1.0,2.0,0.1,0.1,0.1\n"],
+    ids=["empty", "short-row", "wrong-header"],
 )
 def test_malformed_ladder_csv_is_an_error(capsys, tmp_path, text):
     path = tmp_path / "ladder.csv"
@@ -383,13 +404,16 @@ def test_malformed_ladder_csv_is_an_error(capsys, tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "theta,flags",
-    [("nan", ["--mu", "1.0"]), ("inf", ["--mu", "1.0"]),
-     ("2.0", ["--mu", "nan"]), ("2.0", ["--mu", "1.0", "--mu-se", "nan"])],
-    ids=["nan-theta", "inf-theta", "nan-mu", "nan-mu-se"],
+    "theta,flags,named",
+    [("nan", ["--mu", "1.0"], "non-finite"), ("inf", ["--mu", "1.0"], "non-finite"),
+     ("2.0", ["--mu", "nan"], "must be finite"),
+     ("2.0", ["--mu", "1.0", "--mu-se", "nan"], "must be finite"),
+     ("2.0", ["--mu", "1.0", "--mu-se", "-1"], "must be nonnegative")],
+    ids=["nan-theta", "inf-theta", "nan-mu", "nan-mu-se", "negative-mu-se"],
 )
-def test_non_finite_criterion_input_is_an_error(capsys, tmp_path, theta, flags):
-    # A NaN would reach the payload as a bare NaN, which is not JSON.
+def test_non_finite_criterion_input_is_an_error(capsys, tmp_path, theta, flags, named):
+    # A NaN would reach the payload as a bare NaN, which is not JSON.  A
+    # negative standard error is refused the same way.
     path = tmp_path / "ladder.csv"
     path.write_text(
         "x,trials,rho_hat,nu_hat,theta_hat,se_rho,se_nu,se_theta\n"
@@ -398,7 +422,7 @@ def test_non_finite_criterion_input_is_an_error(capsys, tmp_path, theta, flags):
     code, out, err = _run(capsys, ["criterion", "--ladder-csv", str(path), *flags])
     assert code == 2
     assert out == ""
-    assert "non-finite" in err or "must be finite" in err
+    assert named in err
 
 
 # ---------------------------------------------------------------------
@@ -464,6 +488,10 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     code, out, err = _run(capsys, ["oracle", "--config", str(cfg)])
     assert code == 2
     assert "not recognized" in err
+    cfg.write_text(json.dumps(["--env", "periodic:0.9,0.1"]))
+    code, out, err = _run(capsys, ["oracle", "--config", str(cfg)])
+    assert code == 2
+    assert "must hold a JSON object" in err
 
 
 def _write_config(tmp_path, entries):
@@ -616,9 +644,27 @@ def test_unreachable_oracle_tail_is_a_clean_error(capsys):
 
 
 def test_bad_environment_literal_is_a_clean_error(capsys):
-    code, out, err = _run(capsys, ["classify", "--env", "ring:0.5"])
+    # An unknown kind, a literal without ':', and a degenerate pile.
+    for argv in (["classify", "--env", "ring:0.5"], ["classify", "--env", "periodic0.5"],
+                 ["oracle", "--env", "periodic:1.0"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "erwlab: error" in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [(["classify", "--positive-delta", "-1"], "nonnegative total drift"),
+     (["ladder", "--env", "periodic:0.9,0.1", "--xs", "1,a"], "--xs"),
+     (["bpm", "--offspring", "geometric:1", "--migration", "table:0.5,0.6"], "sum to 1")],
+    ids=["negative-delta", "non-integer-xs", "migration-over-one"],
+)
+def test_bad_option_value_is_a_clean_error(capsys, argv, named):
+    code, out, err = _run(capsys, argv)
     assert code == 2
-    assert "erwlab: error" in err
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
 
 
 def test_out_writes_the_payload_to_a_file(capsys, tmp_path):

@@ -125,10 +125,16 @@ def test_parse_and_format_round_trip():
         "tail:0.9,0.7@0.5",
         "tail:0.9,0.9@0.9,0.1",
         "periodic:9/10,1/10",
+        "periodic:1/3,2/3",
+        "tail:1/10@1/3,2/3",
     ):
         env = parse_env(text)
         again = parse_env(format_env(env))
         assert again == env
+    # An exact entry is written as a decimal when that decimal is the same
+    # fraction, and as p/q otherwise; float-built entries keep their repr.
+    assert format_env(parse_env("tail:0.1,0.9@1/3,2/3")) == "tail:0.1,0.9@1/3,2/3"
+    assert format_env(make_periodic((0.9, 0.1))) == "periodic:0.9,0.1"
 
 
 def test_parse_rejects_unknown_kind_and_bad_values():
@@ -140,6 +146,14 @@ def test_parse_rejects_unknown_kind_and_bad_values():
         parse_env("tail:0.5")  # missing @tail
     with pytest.raises(ValueError):
         parse_env("tail:0.5@")  # empty cycle
+    with pytest.raises(ValueError, match="malformed"):
+        parse_env("periodic0.5")  # no ':'
+    with pytest.raises(ValueError, match="NaN"):
+        make_periodic((float("nan"), 0.5))
+    with pytest.raises(ValueError, match="outside"):
+        CookieEnvironment((), (float("nan"),))
+    with pytest.raises(ValueError, match="at least one cookie"):
+        make_periodic(())
 
 
 @given(periods)

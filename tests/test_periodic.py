@@ -195,6 +195,8 @@ def test_half_half_threshold_values():
     # decreasing in p, approaching 2 as p -> 1
     assert half_half_threshold(0.99) > 2.0
     assert half_half_threshold(0.999) < half_half_threshold(0.99)
+    with pytest.raises(ValueError, match="strictly between"):
+        half_half_threshold(0.5)
 
 
 def test_alternating_period_two_is_always_recurrent():
