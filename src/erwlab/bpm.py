@@ -287,10 +287,15 @@ def absorb(
     while t < horizon and len(idx) > _FINISH_BATCH:
         t += 1
         z = step(z, rng)
-        live = (z > 0) & (z < top)
-        if not live.all():
-            death[idx[z == 0]] = t
-            escaped += int(np.count_nonzero(z >= top))
+        # Most steps kill no run: two reductions find that without a mask.
+        lo, hi = z.min(), z.max()
+        if lo == 0 or hi >= top:
+            live = z > 0
+            death[idx[~live]] = t
+            if hi >= top:
+                gone = z >= top
+                escaped += int(np.count_nonzero(gone))
+                live &= ~gone
             idx = idx[live]
             z = z[live]
     for j, zz in zip(idx.tolist(), z.tolist()):

@@ -118,6 +118,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
+    if args.env is not None and args.positive_delta is not None:
+        raise CliError("--positive-delta classifies without --env; give one of the two")
     if args.env is None:
         delta = _require(args, "positive_delta")
         label = periodic.classify_positive(delta).value

@@ -11,8 +11,8 @@ failure when cookies are consumed in pile order.  This module provides
   constant cycle, dyadic block composition otherwise), after one stage
   of shared Bernoulli trials for a prefix; the dyadic levels and the
   chain's table draw through ``_InverseCdf``, packed integer keys
-  searched in one call per key array (through a guide where few of
-  its buckets are crowded),
+  searched a whole batch at a time per key array (through a guide
+  where few of its buckets are crowded),
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -143,6 +143,7 @@ def exact_U_distribution(
     until the mass still short of x failures drops below ``tail_eps``.
     Its window floor is the least subnormal, so it trims exact zeros
     only: no mass is lost, and every mass is the untrimmed recursion's.
+    The law ends at its last nonzero mass.
     """
     _require_nondegenerate(env)
     if x < 0:
@@ -156,6 +157,10 @@ def exact_U_distribution(
     steps = enumerate(_failure_counts(env, x, _LEAST_SUBNORMAL, tail_eps), 1)
     masses = [chances[-1] if lo + len(chances) == x else 0.0
               for n, (lo, chances) in steps if n >= x]
+    # The sweep reads its tail every 32 trials, so it may run on past the
+    # last nonzero mass; those trials' masses are exact zeros.
+    while not masses[-1]:
+        masses.pop()
     return UDistribution(x, 0, np.array(masses), max(0.0, 1.0 - math.fsum(masses)))
 
 
@@ -191,22 +196,8 @@ _PACK_ROWS = 16  # divides _KEY_ROWS
 # from its bucket's first.  A table keeps its guide unless more than
 # _GUIDE_FAR of its buckets hold more keys.
 _GUIDE_BITS = 6
-_GUIDE_SPAN = 4
+_GUIDE_SPAN = 3
 _GUIDE_FAR = 0.25
-
-
-def _guided_search(keys: np.ndarray, guide: np.ndarray, shift: int, q: np.ndarray) -> np.ndarray:
-    """``keys.searchsorted(q, "right")`` through a guide (``_InverseCdf``)
-    whose buckets each span 2^``shift`` values of j."""
-    start = guide[(q >> np.uint64(shift)).astype(np.int64)].astype(np.int64)
-    pos = start.copy()
-    for i in range(_GUIDE_SPAN):
-        # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
-        pos += keys.take(start + i, mode="clip") <= q
-    far = np.flatnonzero(start < 0)
-    if len(far):
-        pos[far] = keys.searchsorted(q[far], side="right")
-    return pos
 
 
 class _InverseCdf:
@@ -243,15 +234,20 @@ class _InverseCdf:
     the table's mean keys per row, and never below ``_GUIDE_BITS``.
     Bucket b of row r holds the keys whose j lies in [b, b + 1) *
     2^(53 - g), and the guide stores the position of its first key.  The
-    query's top 11 + g bits are its row and bucket, so one gather finds
-    the start, and the answer is the start plus the count of the next
-    ``_GUIDE_SPAN`` keys at or below the query: every key before the
-    start is below the query, every key past the bucket above it.  A
-    bucket with more keys than that (the far tails), or too close to the
-    array's end for the count, stores -1, and its queries take the plain
-    search.  The guide holds one int32 per bucket: 256 bytes a row at
-    g = 6, and at most 4 bytes per ``_GUIDE_SPAN`` keys above it, so at
-    most max(256 bytes a row, 1/8 of the key bytes).  It is built
+    query's top 11 + g bits are its row and bucket, so one gather at the
+    query shifted right by 53 - g finds the start.  The answer is the
+    start plus the count of the next ``_GUIDE_SPAN`` keys at or below the
+    query, one gather and compare per view ``keys[i:]``: every key
+    before the start is below the query, every key past the bucket above
+    it.  A bucket with more keys than that (the far tails), or too close
+    to the array's end for the count, stores -1, and a batch holding
+    such queries searches them plainly.  With the row keys
+    (r mod 2^11) << 53 and the views made once per table, ``draw`` on one
+    key array is 18 numpy calls, or 22 with a far query (a chain table's
+    batch of a few hundred draws almost always has one).  The guide
+    holds one int32 per bucket: 256 bytes a row at g = 6, and at most 4
+    bytes per ``_GUIDE_SPAN`` keys above it, so at most max(256 bytes a
+    row, 1/6 of the key bytes).  It is built
     ``_PACK_ROWS`` rows at a time, for the same malloc reason as the
     keys.  Row ends come from the row starts, never from the key
     (r + 1) << 53, which wraps to 0 for the last row of a key array.
@@ -262,7 +258,7 @@ class _InverseCdf:
     tiny tables lose their guide: with a few keys a row, most buckets
     lie within ``_GUIDE_SPAN`` keys of the array's end, and a plain
     search of so few keys is fast.  The chain tables hold about 410 keys
-    a row (g = 6) and the widest dyadic levels thousands (g = 8 to 11).
+    a row (g = 7) and the widest dyadic levels thousands (g = 8 to 11).
     """
 
     def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
@@ -288,11 +284,13 @@ class _InverseCdf:
                 keys.append(buf[first:end])
         self.keys = tuple(keys)
         self.base = k0 - starts
+        self.row_keys = (np.arange(len(sizes), dtype=np.uint64) % _KEY_ROWS) << _U_BITS
         # The largest g with 2^g * _GUIDE_SPAN <= the mean keys per row.
         g = (end // (_GUIDE_SPAN * len(sizes))).bit_length() - 1
         self.shift = _U_BITS - max(g, _GUIDE_BITS)
         # An empty key array (every row a sure value) has nothing to guide.
         self.guides = self._guides(starts) if all(map(len, keys)) else None
+        self.spans = tuple(tuple(k[i:] for i in range(_GUIDE_SPAN)) for k in keys)
 
     def _guides(self, starts: np.ndarray) -> Optional[tuple]:
         """One guide per key array: the first key of every bucket, or -1;
@@ -308,8 +306,8 @@ class _InverseCdf:
             guide = np.empty((hi - lo, n_buckets), dtype=np.int32)
             for r0 in range(0, hi - lo, _PACK_ROWS):
                 r1 = min(r0 + _PACK_ROWS, hi - lo)
-                row_keys = np.arange(r0, r1, dtype=np.uint64)[:, None] << _U_BITS
-                first = keys.searchsorted(row_keys | buckets, side="left")
+                first = keys.searchsorted(self.row_keys[lo + r0 : lo + r1, None] | buckets,
+                                          side="left")
                 last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
                 fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(keys))
                 guide[r0:r1] = np.where(fast, first, -1)
@@ -321,25 +319,36 @@ class _InverseCdf:
         return len(self.base)
 
     def _search(self, c: int, q: np.ndarray) -> np.ndarray:
+        """``keys[c].searchsorted(q, "right")``, through the guide when
+        the table keeps one."""
         keys = self.keys[c]
         if self.guides is None:
             return keys.searchsorted(q, side="right")
-        return _guided_search(keys, self.guides[c], self.shift, q)
+        start = self.guides[c].take(q >> self.shift)
+        first, *rest = self.spans[c]
+        # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
+        pos = start + (first.take(start, mode="clip") <= q)
+        for view in rest:
+            pos += view.take(start, mode="clip") <= q
+        if start.min(initial=0) < 0:
+            far = start < 0
+            pos[far] = keys.searchsorted(q[far], side="right")
+        return pos
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One draw from row ``rows[i]`` per uniform ``u[i]``; each u must
         be a value rng.random() returns."""
         q = (u * _U_SCALE).astype(np.uint64)
-        q |= (rows.astype(np.uint64) & (_KEY_ROWS - 1)) << _U_BITS
+        q |= self.row_keys.take(rows)
         # Search, then gather base: their temporaries are never alive together.
         if len(self.keys) == 1:
-            return self._search(0, q) + self.base[rows]
+            return self._search(0, q) + self.base.take(rows)
         pos = np.empty(len(q), dtype=np.int64)
         part = rows >> _ROW_BITS
         for c in range(len(self.keys)):
             sel = np.flatnonzero(part == c)
             pos[sel] = self._search(c, q[sel])
-        return pos + self.base[rows]
+        return pos + self.base.take(rows)
 
     def draw_one(self, row: int, u: float) -> int:
         """``draw`` for one row and one uniform, in one numpy call."""
@@ -376,14 +385,15 @@ class _DyadicSampler:
     logarithmic in x.  Levels extend lazily as larger x appear.
 
     Each level draws through one ``_InverseCdf`` row per start slot, so
-    a lookup for a batch is one ``searchsorted`` per key array whatever
-    slots the draws sit in.  One key array holds 2^11 slots, so a period
-    above 2048 splits each level over several.  A batch of at most
-    ``_SCALAR_ROWS`` draws (and ``draw_one``, its one-row case) walks the
-    levels on Python scalars instead, with the same uniforms in the same
-    order and so the same draws: a vector walk costs about 200 us
-    whatever its size, mostly numpy call overhead, and a scalar one
-    about 13 us per draw at x near 2500.
+    a lookup for a batch is one search per key array whatever slots the
+    draws sit in; a level no draw has a bit on is skipped.  One key
+    array holds 2^11 slots, so a period above 2048 splits each level
+    over several.  A batch of at most ``_SCALAR_ROWS`` draws (and
+    ``draw_one``, its one-row case) walks the levels on Python scalars
+    instead, with the same uniforms in the same order and so the same
+    draws: a vector walk costs about 200 us whatever its size, mostly
+    numpy call overhead, and a scalar one about 13 us per draw at x
+    near 2500.
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -507,8 +517,11 @@ class _DyadicSampler:
         blocks = xs >> top
         for j in range(int(blocks.max())):
             self._advance(top, np.flatnonzero(blocks > j), out, state, rng)
+        # A level no x has a bit on draws nothing (rng.random(0)): skip it.
+        bits = int(np.bitwise_or.reduce(xs))
         for k in range(top - 1, -1, -1):
-            self._advance(k, np.flatnonzero((xs >> k) & 1), out, state, rng)
+            if bits >> k & 1:
+                self._advance(k, np.flatnonzero((xs >> k) & 1), out, state, rng)
         return out + self.m * rng.negative_binomial(xs, self.fail)
 
     def draw_one(self, x: int, rng: np.random.Generator) -> int:
@@ -729,12 +742,12 @@ def simulate_Z_ensemble(
 
     On a critical or subcritical pile, lockstep draws within the table
     cap come from precomputed inverse-CDF rows, searched through the
-    table's guide; a step whose sizes are all within the cap is one
-    table lookup.  A supercritical chain escapes before a fresh table
-    repays its build, and a constant pile's negative binomial draws beat
-    one.  Other draws come from the exact samplers, the last few runs'
-    through scalar draws.  Results are a pure function of (environment,
-    direction, horizon, trials, master_seed).
+    table's guide; each step is one table lookup.  A supercritical chain
+    escapes before a fresh table repays its build, and a constant pile's
+    negative binomial draws beat one.  Other draws come from the exact
+    samplers, the last few runs' through scalar draws.  Results are a
+    pure function of (environment, direction, horizon, trials,
+    master_seed).
     """
     eff = _directed(env, direction)
     one, many = _samplers(eff)
@@ -751,12 +764,14 @@ def simulate_Z_ensemble(
 
     def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(len(x))
+        rows = x - 1
         if x.max() <= cap:
-            return table.draw(x - 1, u)
-        small = x <= cap
-        k = np.empty(len(x), dtype=np.int64)
-        k[small] = table.draw(x[small] - 1, u[small])
-        big = ~small
+            return table.draw(rows, u)
+        # Sizes above the cap take a throwaway lookup in row 0, then
+        # their exact draws, which follow this step's uniforms.
+        big = np.flatnonzero(x > cap)
+        rows[big] = 0
+        k = table.draw(rows, u)
         k[big] = many(x[big], rng)
         return k
 

@@ -205,6 +205,11 @@ def test_oracle_csv_is_a_probability_table(capsys):
     assert [int(r[0]) for r in rows[1:4]] == [0, 1, 2]
 
 
+def test_oracle_csv_ends_at_the_last_nonzero_mass(capsys):
+    rows = _run_csv(capsys, ["oracle", "--env", "periodic:1.0,0.0", "--x", "3"])
+    assert rows[1:] == [["0", "0.0"], ["1", "0.0"], ["2", "0.0"], ["3", "1.0"]]
+
+
 def test_ladder_csv_header_and_reproducibility(capsys):
     argv = [
         "ladder",
@@ -597,6 +602,14 @@ def test_positions_csv_without_emit_positions_is_a_clean_error(capsys, tmp_path)
     assert out == ""
     assert "--emit-positions" in err
     assert not target.exists()
+
+
+def test_positive_delta_with_an_environment_is_a_clean_error(capsys):
+    argv = ["classify", "--env", "periodic:1/3,2/3", "--positive-delta", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--positive-delta" in err and "--env" in err
 
 
 @pytest.mark.parametrize(

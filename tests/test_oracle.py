@@ -202,6 +202,16 @@ def test_windowed_dp_equals_the_untrimmed_dp_bit_for_bit(literal, x):
     assert d.tail_bound == max(0.0, 1.0 - math.fsum(full.tolist()))
 
 
+def test_sure_pile_law_ends_at_its_last_nonzero_mass():
+    # On (1.0, 0.0) U(3) = 3 surely.  The sweep reads its tail every 32
+    # trials, and the trials it runs past the last mass add no entries.
+    d = exact_U_distribution(parse_env("periodic:1.0,0.0"), 3)
+    assert d.mass.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert d.tail_bound == 0.0
+    for literal in ("periodic:1.0,0.2", "bounded:0.9,0.8"):
+        assert exact_U_distribution(parse_env(literal), 40).mass[-1] > 0.0
+
+
 def test_rejects_bad_arguments():
     env = make_periodic((0.6, 0.4))
     with pytest.raises(ValueError):

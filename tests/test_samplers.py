@@ -239,15 +239,15 @@ def test_packed_search_matches_row_searchsorted(n_rows):
 
 
 def _guide_bound(inv):
-    """The guide's stated size bound: max(256 bytes a row, 1/8 of the key bytes)."""
-    return max(256 * len(inv), sum(k.nbytes for k in inv.keys) // 8)
+    """The guide's stated size bound: max(256 bytes a row, 1/6 of the key bytes)."""
+    return max(256 * len(inv), sum(k.nbytes for k in inv.keys) // 6)
 
 
 def test_chain_table_guide_has_bounded_size():
     # The guide holds one int32 per bucket, within max(256 bytes a row,
-    # 1/8 of the key bytes), and its build leaves no large temporary
-    # behind.  The bounded pile's rows are wide enough for g = 7.
-    for lit, g in (("periodic:0.9,0.9,0.1,0.1", 6), ("bounded:0.9,0.9", 7)):
+    # 1/6 of the key bytes), and its build leaves no large temporary
+    # behind.  Both piles' rows are wide enough for g = 7.
+    for lit, g in (("periodic:0.9,0.9,0.1,0.1", 7), ("bounded:0.9,0.9", 7)):
         table = _chain_table(parse_env(lit), _TABLE_CAP)
         assert table.shift == _U_BITS - g
         nbytes = sum(a.nbytes for a in table.guides)
@@ -284,14 +284,20 @@ def _draws_like_searchsorted(inv, rng):
     assert inv.draw(rows, u).tolist() == want.tolist()
 
 
+def _wide_level():
+    sampler = _DyadicSampler(make_periodic((0.9, 0.9, 0.1, 0.1)))
+    sampler.draw(np.array([1 << 15]), np.random.default_rng(0))
+    return sampler.levels[15].inv
+
+
 def test_wide_level_sizes_its_guide_from_its_rows():
     # Level 15 of the four-slot pile holds about 2,200 keys a row, so its
     # guide has 2^9 buckets a row (about 4 keys each) and the table keeps it.
-    sampler = _DyadicSampler(make_periodic((0.9, 0.9, 0.1, 0.1)))
-    sampler.draw(np.array([1 << 15]), np.random.default_rng(0))
-    inv = sampler.levels[15].inv
+    inv = _wide_level()
     g = _U_BITS - inv.shift
-    assert g > _GUIDE_BITS and (4 << g) * len(inv) <= sum(map(len, inv.keys)) < (8 << g) * len(inv)
+    assert g == 9
+    n_keys = sum(map(len, inv.keys))
+    assert (_GUIDE_SPAN << g) * len(inv) <= n_keys < (2 * _GUIDE_SPAN << g) * len(inv)
     assert inv.guides is not None
     assert sum(a.nbytes for a in inv.guides) <= _guide_bound(inv)
     far = np.concatenate(inv.guides) < 0
@@ -311,6 +317,72 @@ def test_tiny_table_keeps_no_guide():
     _draws_like_searchsorted(inv, np.random.default_rng(2))
     # Many rows of one key each leave few buckets near the end: guided.
     assert _InverseCdf(np.tile([0.5, 1.0], 64), np.full(64, 2), 0).guides is not None
+
+
+def _packed_table(n_rows):
+    rows = [_CDF_ROWS[r % len(_CDF_ROWS)] for r in range(n_rows)]
+    return _InverseCdf(np.concatenate(rows), np.array([len(r) for r in rows]), 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _packed_table(2053), lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
+     _wide_level],
+    ids=["two-key-arrays", "chain-table", "wide-level"],
+)
+def test_guided_search_equals_plain_searchsorted(build):
+    # The guided count gives searchsorted's position exactly: at every key,
+    # one below and one above it, at each row's ends, and at random points,
+    # in buckets the guide serves and in far buckets (-1), which take the
+    # plain search.
+    inv = build()
+    assert inv.guides is not None
+    rng = np.random.default_rng(3)
+    one = np.uint64(1)
+    for c, keys in enumerate(inv.keys):
+        rows = np.arange(min(_KEY_ROWS, len(inv) - c * _KEY_ROWS), dtype=np.uint64)
+        ends = np.concatenate((rows << _U_BITS, (rows << _U_BITS) | np.uint64(2**_U_BITS - 1)))
+        j = rng.integers(0, 2**_U_BITS, 50_000, dtype=np.uint64)
+        random = (rng.choice(rows, 50_000) << _U_BITS) | j
+        q = np.concatenate((keys, keys - one, keys + one, ends, random))
+        q = q[q >> np.uint64(_U_BITS) < len(rows)]  # a step off the ends may leave the rows
+        starts = inv.guides[c][(q >> np.uint64(inv.shift)).astype(np.int64)]
+        assert np.any(starts < 0) and np.any(starts >= 0)
+        assert inv._search(c, q).tolist() == keys.searchsorted(q, side="right").tolist()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _packed_table(2053), lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
+     lambda: _DyadicSampler(make_periodic((0.9, 0.1))).levels[0].inv],
+    ids=["two-key-arrays", "guided", "unguided"],
+)
+def test_zero_row_draw_is_an_empty_int64_array(build):
+    got = build().draw(np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
+def test_fixed_x_batch_makes_one_lookup_per_block_and_set_bit(monkeypatch):
+    # x = 10^6 walks one top block (level 19) and the 6 set bits below it;
+    # the 13 levels without a set bit draw nothing and make no lookup.
+    x = 10**6
+    sampler = _DyadicSampler(make_periodic((0.9, 0.9, 0.1, 0.1)))
+    top = sampler._top(x)
+    lookups = []
+    draw = _InverseCdf.draw
+
+    def counted(self, rows, u):
+        lookups.append(len(rows))
+        return draw(self, rows, u)
+
+    monkeypatch.setattr(_InverseCdf, "draw", counted)
+    xs = np.full(4 * _SCALAR_ROWS, x)
+    a, b = substream(S, TAG_GENERAL, 36), substream(S, TAG_GENERAL, 36)
+    got = sampler.draw(xs, a)
+    assert len(lookups) == (x >> top) + bin(x % (1 << top)).count("1") == 7
+    assert set(lookups) == {len(xs)}
+    assert got.tolist() == dyadic_vector_walk(sampler, xs, b).tolist()
+    assert a.random() == b.random()  # both took the same draws
 
 
 @pytest.mark.parametrize(
