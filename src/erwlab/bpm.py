@@ -168,18 +168,15 @@ def _migration_draws(
     return support[np.searchsorted(cdf, rng.random(size), side="right")]
 
 
-def _bpm_step(
-    model: BpmModel, z: "int | np.ndarray", rng: np.random.Generator
-) -> "np.int64 | np.ndarray":
-    """One generation from population z >= 1 (an int or an array)."""
-    size = None if np.ndim(z) == 0 else len(z)
-    totals = _offspring_sums(model.offspring, z, rng) + _migration_draws(model.migration, size, rng)
+def _bpm_step(model: BpmModel, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One generation from each population of the array z (entries >= 1)."""
+    totals = _offspring_sums(model.offspring, z, rng) + _migration_draws(model.migration, len(z), rng)
     return np.maximum(totals, 0)
 
 
 def _bpm_step_one(model: BpmModel, z: int, rng: np.random.Generator) -> int:
-    """``int(_bpm_step(model, z, rng))`` without its array overhead: the
-    same draws in the same order, for the scalar finish of ``absorb``."""
+    """``_bpm_step`` of a one-row array, on Python scalars: the same
+    draws in the same order, for the scalar finish of ``absorb``."""
     total = _offspring_sums(model.offspring, z, rng) + _migration_draws(model.migration, None, rng)
     return max(int(total), 0)
 
@@ -252,8 +249,8 @@ def escape_threshold(
 # Lockstep batches at or below this size finish one run at a time: past
 # that point scalar draws beat the vectorized machinery.  The scalar
 # finish pays for itself (2-vCPU host): the recurrent crossing chain at
-# H = 10^5 with 10^4 trials takes 6.7 s with it and 12.8 s without, and
-# the BPM die-out model (H = 2000, 1000 trials) 0.005 s against 0.053 s.
+# H = 10^5 with 10^4 trials takes 11.4 s with it and 20.1 s without, and
+# the BPM die-out model (H = 2000, 1000 trials) 0.003 s against 0.067 s.
 _FINISH_BATCH = 16
 
 

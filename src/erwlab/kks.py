@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -173,6 +174,8 @@ class ExactMoments(NamedTuple):
 def exact_moments(env: CookieEnvironment, x: int, tail_eps: float = 1e-14) -> ExactMoments:
     """Mean of U(x), centered drift rho(x) = E U(x) - mu x, and scaled
     second moment nu(x) = E (U(x) - mu x)^2 / x, all from the oracle."""
+    if x < 1:
+        raise ValueError("x must be at least 1: nu(x) divides by x")
     dist = exact_U_distribution(env, x, tail_eps)
     mu = asymptotic_mu(env)
     mean = dist.mean()
@@ -361,13 +364,6 @@ class _InverseCdf:
 _SCALAR_ROWS = 16
 
 
-class _DyadicLevel(NamedTuple):
-    k0: int
-    width: int
-    rows: np.ndarray
-    inv: _InverseCdf
-
-
 class _DyadicSampler:
     """Exact draws of U(x), x >= 1, for the pile's cycle (started at its
     slot 0, the prefix ignored) by dyadic block composition.
@@ -376,30 +372,32 @@ class _DyadicSampler:
     the slot advance and t counts whole-period wraps.  The wraps are
     geometric with success 1 - P, P the full-period product, and
     independent of the slot walk, so over x failures they add M times a
-    single NB(x, 1 - P) draw.  The levels carry the rest: ``rows[r, s]``
-    of level k is the chance that 2^k failures from slot r advance the
-    slot by k0 + s in total.  They end at slot r + k0 + s + 2^k (mod M),
-    so level k + 1 is a slot-threaded convolution square of level k
-    (computed by FFT).  One draw walks the set bits of x from high to
-    low with one inverse-CDF lookup per bit, so the cost per draw is
-    logarithmic in x.  Levels extend lazily as larger x appear.
+    single NB(x, 1 - P) draw.  The levels carry the rest: level k draws
+    the slot advance k0 + s (s < w, its width) of 2^k failures from each
+    start slot r.  They end at slot r + k0 + s + 2^k (mod M), so level
+    k + 1 is a slot-threaded convolution square of level k (computed by
+    FFT).  One draw walks the set bits of x from high to low with one
+    inverse-CDF lookup per bit, so the cost per draw is logarithmic in
+    x.  Levels extend lazily as larger x appear.
 
-    Each level draws through one ``_InverseCdf`` row per start slot, so
-    a lookup for a batch is one search per key array whatever slots the
-    draws sit in; a level no draw has a bit on is skipped.  One key
-    array holds 2^11 slots, so a period above 2048 splits each level
-    over several.  A batch of at most ``_SCALAR_ROWS`` draws (and
-    ``draw_one``, its one-row case) walks the levels on Python scalars
-    instead, with the same uniforms in the same order and so the same
-    draws: a vector walk costs about 200 us whatever its size, mostly
-    numpy call overhead, and a scalar one about 13 us per draw at x
-    near 2500.
+    A level is one ``_InverseCdf`` with a row per start slot, so a lookup
+    for a batch is one search per key array whatever slots the draws sit
+    in; a level no draw has a bit on is skipped.  One key array holds
+    2^11 slots, so a period above 2048 splits each level over several.
+    A batch of at most ``_SCALAR_ROWS`` draws (and ``draw_one``) walks
+    the levels on Python scalars instead, with the same uniforms in the
+    same order and so the same draws: at x near 2500 a vector walk of 17
+    draws costs about 270 us, mostly numpy call overhead, and a scalar
+    one 13 us a draw (2-vCPU host).
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
     would exceed ``_MAX_BINS`` complex bins; draws then take whole blocks
     of the top level, down to one failure at a time for the longest
-    periods.
+    periods.  Only a square reads a pmf: ``pmf`` holds the top level's
+    k0 and trimmed, normalized M x w rows, and is dropped (None) once
+    the cap, which depends only on M and w, refuses a square.  A pile
+    thus retains its levels' keys and guides plus, until then, one pmf.
 
     Error per level: each level trims at most ``_TAIL`` of its mass from
     either end of the advance and renormalizes.  After an FFT square of
@@ -420,35 +418,37 @@ class _DyadicSampler:
         self.m = env.period
         # Level 0: advance d within the period, then a failure.
         runs, self.fail = slot_runs(env.cycle)
-        self.levels: list[_DyadicLevel] = [self._finish(0, runs)]
+        self.levels: list[_InverseCdf] = [self._finish(0, runs)]
 
-    def _finish(self, k0: int, rows: np.ndarray) -> _DyadicLevel:
+    def _finish(self, k0: int, rows: np.ndarray) -> _InverseCdf:
         cs = np.cumsum(rows.sum(axis=0))
         total = cs[-1]
         a = int(np.searchsorted(cs, self._TAIL * total, side="left"))
         b = int(np.searchsorted(cs, (1.0 - self._TAIL) * total, side="left")) + 1
         rows = rows[:, a:b]
         rows = rows / rows.sum(axis=1, keepdims=True)
+        self.pmf: Optional[tuple[int, np.ndarray]] = (k0 + a, rows)
         cdf = np.cumsum(rows, axis=1)
         cdf[:, -1] = 1.0
-        inv = _InverseCdf(cdf.ravel(), np.full(self.m, b - a), k0 + a)
-        return _DyadicLevel(k0 + a, b - a, rows, inv)
+        return _InverseCdf(cdf.ravel(), np.full(self.m, b - a), k0 + a)
 
     def _extend(self) -> bool:
         """Build the next level; False if it would exceed the bin cap."""
-        prev = self.levels[-1]
-        m = self.m
-        w = prev.width
+        if self.pmf is None:
+            return False
+        k0, rows = self.pmf
+        m, w = rows.shape
         n = 2 * w - 1
         size = 1 << (n - 1).bit_length()
         if m * m * (size // 2 + 1) > self._MAX_BINS:
+            self.pmf = None
             return False
         # split[r, c] keeps the advances of row r that are c mod M
         s = np.arange(w)
         split = np.zeros((m, m, w))
-        split[:, (prev.k0 + s) % m, s] = prev.rows
+        split[:, (k0 + s) % m, s] = rows
         fa = np.fft.rfft(split, size, axis=2)
-        fb = np.fft.rfft(prev.rows, size, axis=1)
+        fb = np.fft.rfft(rows, size, axis=1)
         r = np.arange(m)
         block = 1 << (len(self.levels) - 1)
         fc = np.zeros_like(fb)
@@ -456,7 +456,7 @@ class _DyadicSampler:
             fc += fa[:, c] * fb[(r + c + block) % m]
         out = np.fft.irfft(fc, size, axis=1)[:, :n]
         out[out < np.finfo(float).eps * math.log2(size) * out.max()] = 0.0
-        self.levels.append(self._finish(2 * prev.k0, out))
+        self.levels.append(self._finish(2 * k0, out))
         return True
 
     def _top(self, x_max: int) -> int:
@@ -475,7 +475,7 @@ class _DyadicSampler:
     ) -> None:
         """Move the draws ``sel`` through one block of 2^k failures."""
         st = state[sel]
-        adv = self.levels[k].inv.draw(st, rng.random(len(sel)))
+        adv = self.levels[k].draw(st, rng.random(len(sel)))
         out[sel] += adv
         state[sel] = (st + adv + (1 << k)) % self.m
 
@@ -500,7 +500,7 @@ class _DyadicSampler:
         out = [0] * len(xs)
         state = [0] * len(xs)
         for (k, i), u in zip(plan, rng.random(len(plan)).tolist()):
-            adv = self.levels[k].inv.draw_one(state[i], u)
+            adv = self.levels[k].draw_one(state[i], u)
             out[i] += adv
             state[i] = (state[i] + adv + (1 << k)) % self.m
         return [o + self.m * int(rng.negative_binomial(x, self.fail)) for o, x in zip(out, xs)]
@@ -596,7 +596,7 @@ def sample_U_many(
 ) -> np.ndarray:
     """Vectorized exact draws of U(x)."""
     many = _samplers(env)[1]
-    if x < 0:
+    if operator.index(x) < 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return np.ones(size, dtype=np.int64)
@@ -606,7 +606,7 @@ def sample_U_many(
 def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
     """One exact draw of U(x)."""
     one = _samplers(env)[0]
-    if x < 0:
+    if operator.index(x) < 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1

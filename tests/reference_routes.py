@@ -117,7 +117,7 @@ def dyadic_vector_walk(
     for k, mask in steps:
         sel = np.flatnonzero(mask)
         st = state[sel]
-        adv = sampler.levels[k].inv.draw(st, rng.random(len(sel)))
+        adv = sampler.levels[k].draw(st, rng.random(len(sel)))
         out[sel] += adv
         state[sel] = (st + adv + (1 << k)) % sampler.m
     return out + sampler.m * rng.negative_binomial(xs, sampler.fail)

@@ -216,6 +216,8 @@ def test_rejects_bad_arguments():
     env = make_periodic((0.6, 0.4))
     with pytest.raises(ValueError):
         exact_U_distribution(env, -1)
+    with pytest.raises(ValueError, match="at least 1"):
+        exact_moments(env, 0)
     for eps in (0.0, 1.0, 2.0, math.nan):
         with pytest.raises(ValueError, match=r"tail_eps must lie in \(0, 1\)"):
             exact_U_distribution(env, 3, tail_eps=eps)

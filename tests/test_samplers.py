@@ -92,16 +92,26 @@ def test_dyadic_sampler_frequencies_match_dp():
     assert abs(_chi_square_z(env, x, draws)) < 4.0
 
 
-def test_full_period_product_near_one_keeps_levels_narrow():
+def test_full_period_product_near_one_keeps_levels_narrow(monkeypatch):
     # 1 - P is 3e-7: the wraps are one negative binomial per draw, and
-    # the levels hold only the slot advance, below M per failure.
+    # the levels hold only the slot advance, below M per failure.  A
+    # level's width is read as it is built, off the pmf it keeps.
+    widths = []
+    finish = _DyadicSampler._finish
+
+    def recorded(self, k0, rows):
+        inv = finish(self, k0, rows)
+        widths.append(self.pmf[1].shape[1])
+        return inv
+
+    monkeypatch.setattr(_DyadicSampler, "_finish", recorded)
     env = make_periodic((0.9999999, 0.9999998))
     x = 1024
     rng = substream(S, TAG_GENERAL, 28)
     sampler = _DyadicSampler(env)
     draws = sampler.draw(np.full(1_000, x), rng)
-    levels = sampler.levels
-    assert all(lvl.width <= (1 << k) + 1 for k, lvl in enumerate(levels))
+    assert len(widths) == len(sampler.levels) == x.bit_length()
+    assert all(w <= (1 << k) + 1 for k, w in enumerate(widths))
     assert draws.mean() / x == pytest.approx(asymptotic_mu(env), rel=5e-3)
 
 
@@ -124,11 +134,49 @@ def test_period_above_one_key_array_matches_dp():
     env = make_periodic((0.99, 0.98) * 1024 + (0.99,))
     x = 40
     rng = substream(S, TAG_GENERAL, 30)
-    assert len(_DyadicSampler(env).levels[0].inv.keys) == 2
+    assert len(_DyadicSampler(env).levels[0].keys) == 2
     draws = sample_U_many(env, x, 200_000, rng)
     assert abs(_chi_square_z(env, x, draws)) < 4.0
     singles = np.array([sample_U(env, x, rng) for _ in range(20_000)])
     assert abs(_chi_square_z(env, x, singles)) < 4.0
+
+
+def _traced_draw(env, x):
+    """A dyadic sampler that has drawn a batch at x, and the memory
+    tracemalloc still traces for it afterwards."""
+    tracemalloc.start()
+    try:
+        sampler = _DyadicSampler(env)
+        sampler.draw(np.full(2 * _SCALAR_ROWS, x), np.random.default_rng(0))
+        return sampler, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def _table_bytes(sampler):
+    """The keys and guides of every level."""
+    return sum(a.nbytes for inv in sampler.levels for a in inv.keys + (inv.guides or ()))
+
+
+@pytest.mark.parametrize("lit", ["periodic:0.9,0.9,0.1,0.1", "periodic:0.9,0.1"])
+def test_built_levels_keep_their_tables_and_one_top_pmf(lit):
+    # Lower levels keep only their lookup tables; the top level's pmf
+    # stays for the next square.  The slack covers the row offsets, the
+    # dropped cdf entries under the keys and the first FFT's imports.
+    sampler, retained = _traced_draw(parse_env(lit), 1 << 20)
+    assert len(sampler.levels) == 21
+    assert retained <= _table_bytes(sampler) + sampler.pmf[1].nbytes + (256 << 10)
+
+
+def test_refused_square_frees_the_pmf():
+    # The 2049-slot pile's bin cap refuses the first square, so nothing
+    # would read level 0's pmf (32 MiB) again: the sampler drops it, and
+    # every later square is refused at once.
+    env = make_periodic((0.99, 0.98) * 1024 + (0.99,))
+    sampler, retained = _traced_draw(env, 40)
+    assert sampler.pmf is None and len(sampler.levels) == 1
+    assert not sampler._extend()
+    assert retained <= _table_bytes(sampler) + (256 << 10)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +207,7 @@ def test_scalar_level_walk_equals_the_vector_walk(pile, x_max, monkeypatch):
         assert a.random() == b.random()  # both took the same draws
         assert bool(vector_steps) == (n > _SCALAR_ROWS)
     if len(pile) > 2048:
-        assert len(sampler.levels) == 1 and len(sampler.levels[0].inv.keys) == 2
+        assert len(sampler.levels) == 1 and len(sampler.levels[0].keys) == 2
     for x in (1, 2, 7, 40, x_max):
         a, b = substream(S, TAG_GENERAL, 35, x), substream(S, TAG_GENERAL, 35, x)
         assert sampler.draw_one(x, a) == sampler.draw(np.array([x]), b)[0]
@@ -287,7 +335,7 @@ def _draws_like_searchsorted(inv, rng):
 def _wide_level():
     sampler = _DyadicSampler(make_periodic((0.9, 0.9, 0.1, 0.1)))
     sampler.draw(np.array([1 << 15]), np.random.default_rng(0))
-    return sampler.levels[15].inv
+    return sampler.levels[15]
 
 
 def test_wide_level_sizes_its_guide_from_its_rows():
@@ -310,7 +358,7 @@ def test_tiny_table_keeps_no_guide():
     # _GUIDE_SPAN keys of the array's end, so the table keeps no guide and
     # even a large batch takes the plain search.
     sampler = _DyadicSampler(make_periodic((0.9, 0.1)))
-    inv = sampler.levels[0].inv
+    inv = sampler.levels[0]
     assert sum(map(len, inv.keys)) == len(inv) == 2
     assert inv.shift == _U_BITS - _GUIDE_BITS
     assert inv.guides is None
@@ -354,7 +402,7 @@ def test_guided_search_equals_plain_searchsorted(build):
 @pytest.mark.parametrize(
     "build",
     [lambda: _packed_table(2053), lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
-     lambda: _DyadicSampler(make_periodic((0.9, 0.1))).levels[0].inv],
+     lambda: _DyadicSampler(make_periodic((0.9, 0.1))).levels[0]],
     ids=["two-key-arrays", "guided", "unguided"],
 )
 def test_zero_row_draw_is_an_empty_int64_array(build):
@@ -589,6 +637,23 @@ def test_zero_target_draws_are_all_one():
         sample_U_many(env, -1, 100, rng)
     with pytest.raises(ValueError, match="nonnegative"):
         sample_U(env, -1, rng)
+
+
+@pytest.mark.parametrize("lit", ["periodic:0.7", "periodic:0.9,0.1", "bounded:0.9,0.9"],
+                         ids=["constant", "dyadic", "prefix"])
+def test_non_integral_x_is_rejected(lit):
+    # Both entry points refuse x = 5.5 rather than read it two ways (a
+    # negative binomial with n = 5.5, or U(5)); numpy integers still pass.
+    env = parse_env(lit)
+    rng = substream(S, TAG_GENERAL, 36)
+    for x in (5.5, 5.0, np.float64(5.0)):
+        with pytest.raises(TypeError):
+            sample_U(env, x, rng)
+        with pytest.raises(TypeError):
+            sample_U_many(env, x, 10, rng)
+    a, b = substream(S, TAG_GENERAL, 37), substream(S, TAG_GENERAL, 37)
+    assert sample_U(env, np.int64(5), a) == sample_U(env, 5, b)
+    assert sample_U_many(env, np.int32(5), 10, a).tolist() == sample_U_many(env, 5, 10, b).tolist()
 
 
 # ---------------------------------------------------------------------
