@@ -10,9 +10,10 @@ failure when cookies are consumed in pile order.  This module provides
 * fast exact samplers: the cycle's own route (a negative binomial for a
   constant cycle, dyadic block composition otherwise), after one stage
   of shared Bernoulli trials for a prefix; the dyadic levels and the
-  chain's table draw through ``_InverseCdf``, packed integer keys
-  searched a whole batch at a time per key array (through a guide
-  where few of its buckets are crowded),
+  chain's table draw through ``_InverseCdf``, one packed integer key
+  array searched a whole batch at a time (through a guide where few of
+  its buckets are crowded); a period above 2048 slots draws its one
+  level by a search of its run costs in log space,
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -23,6 +24,7 @@ that survival means directional transience of the walk.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -191,9 +193,8 @@ def exact_moments(env: CookieEnvironment, x: int, tail_eps: float = 1e-14) -> Ex
 # Packed inverse-CDF keys; the layout is described on ``_InverseCdf``.
 _U_BITS = 53
 _U_SCALE = float(1 << _U_BITS)
-_ROW_BITS = 64 - _U_BITS
-_KEY_ROWS = 1 << _ROW_BITS
-_PACK_ROWS = 16  # divides _KEY_ROWS
+_KEY_ROWS = 1 << (64 - _U_BITS)
+_PACK_ROWS = 16
 # Guide tables: 2^g buckets per row, with g at least _GUIDE_BITS, indexed
 # by the top g bits of u; a guided lookup counts at most _GUIDE_SPAN keys
 # from its bucket's first.  A table keeps its guide unless more than
@@ -215,15 +216,17 @@ class _InverseCdf:
     the key (r << 53) + ceil(c * 2^53), and u the query (r << 53) + j.
     c <= u exactly when ceil(c * 2^53) <= j, so a right-sided search for
     the query counts the entries of row r at or below u, as a search of
-    the float row would, and a batch is one search per key array
-    whatever rows its draws sit in.  Entries of 1.0 or more (cumsum
-    rounding can lift one just above 1) are dropped: no u < 1 reaches
-    them, and their keys would spill into row r + 1.  The row index takes
-    the 11 bits above j, so one uint64 key array addresses 2^11 rows;
-    more rows get one key array per 2^11 rows, each keyed by r mod 2^11.
+    the float row would, and a batch is one search whatever rows its
+    draws sit in.  Entries of 1.0 or more (cumsum rounding can lift one
+    just above 1) are dropped: no u < 1 reaches them, and their keys
+    would spill into row r + 1.  The row index takes the 11 bits above
+    j, so the one uint64 key array addresses 2^11 rows, and callers keep
+    a table to at most ``_KEY_ROWS`` = 2^11 rows (a larger one raises
+    ``ValueError``): the chain table's cap is that, and a dyadic level is
+    a table only for periods of at most 2048 slots.
 
     ``base[r]`` is ``k0[r]`` less the position of row r's first key
-    within its array, so a draw is ``base[r]`` plus the search result.
+    in the array, so a draw is ``base[r]`` plus the search result.
     The keys overwrite ``cdf`` in place, 16 rows at a time, so no
     temporary is large: freeing multi-megabyte temporaries raises
     malloc's mmap threshold, and the fragmented heap then lifts later
@@ -244,16 +247,15 @@ class _InverseCdf:
     before the start is below the query, every key past the bucket above
     it.  A bucket with more keys than that (the far tails), or too close
     to the array's end for the count, stores -1, and a batch holding
-    such queries searches them plainly.  With the row keys
-    (r mod 2^11) << 53 and the views made once per table, ``draw`` on one
-    key array is 18 numpy calls, or 22 with a far query (a chain table's
-    batch of a few hundred draws almost always has one).  The guide
-    holds one int32 per bucket: 256 bytes a row at g = 6, and at most 4
-    bytes per ``_GUIDE_SPAN`` keys above it, so at most max(256 bytes a
-    row, 1/6 of the key bytes).  It is built
-    ``_PACK_ROWS`` rows at a time, for the same malloc reason as the
-    keys.  Row ends come from the row starts, never from the key
-    (r + 1) << 53, which wraps to 0 for the last row of a key array.
+    such queries searches them plainly.  With the row keys r << 53 and
+    the views made once per table, ``draw`` is 18 numpy calls, or 22
+    with a far query (a chain table's batch of a few hundred draws
+    almost always has one).  The guide holds one int32 per bucket: 256
+    bytes a row at g = 6, and at most 4 bytes per ``_GUIDE_SPAN`` keys
+    above it, so at most max(256 bytes a row, 1/6 of the key bytes).  It
+    is built ``_PACK_ROWS`` rows at a time, for the same malloc reason
+    as the keys.  Row ends come from the row starts, never from the key
+    (r + 1) << 53, which wraps to 0 for row 2047.
 
     A table keeps its guide unless more than ``_GUIDE_FAR`` of the
     buckets store -1, as uniform queries would then mostly pay for the
@@ -265,77 +267,67 @@ class _InverseCdf:
     """
 
     def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
+        if len(sizes) > _KEY_ROWS:
+            raise ValueError(f"an inverse-CDF table holds at most {_KEY_ROWS} rows")
         buf = cdf.view(np.uint64)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         starts = np.empty(len(sizes), dtype=np.int64)
-        keys = []
-        end = first = 0
+        end = 0
         for r0 in range(0, len(sizes), _PACK_ROWS):
             r1 = min(r0 + _PACK_ROWS, len(sizes))
-            if r0 % _KEY_ROWS == 0:
-                first = end
             c = cdf[bounds[r0] : bounds[r1]]
             live = c < 1.0
             counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
             k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
-            k += np.repeat((np.arange(r0, r1, dtype=np.uint64) % _KEY_ROWS) << _U_BITS, counts)
-            starts[r0:r1] = end - first + np.cumsum(counts) - counts
+            k += np.repeat(np.arange(r0, r1, dtype=np.uint64) << _U_BITS, counts)
+            starts[r0:r1] = end + np.cumsum(counts) - counts
             # Writes stay behind the rows not yet read: end <= bounds[r0].
             buf[end : end + len(k)] = k
             end += len(k)
-            if r1 % _KEY_ROWS == 0 or r1 == len(sizes):
-                keys.append(buf[first:end])
-        self.keys = tuple(keys)
+        self.keys = buf[:end]
         self.base = k0 - starts
-        self.row_keys = (np.arange(len(sizes), dtype=np.uint64) % _KEY_ROWS) << _U_BITS
+        self.row_keys = np.arange(len(sizes), dtype=np.uint64) << _U_BITS
         # The largest g with 2^g * _GUIDE_SPAN <= the mean keys per row.
         g = (end // (_GUIDE_SPAN * len(sizes))).bit_length() - 1
         self.shift = _U_BITS - max(g, _GUIDE_BITS)
         # An empty key array (every row a sure value) has nothing to guide.
-        self.guides = self._guides(starts) if all(map(len, keys)) else None
-        self.spans = tuple(tuple(k[i:] for i in range(_GUIDE_SPAN)) for k in keys)
+        self.guides = self._guides(starts) if end else None
+        self.spans = tuple(self.keys[i:] for i in range(_GUIDE_SPAN))
 
-    def _guides(self, starts: np.ndarray) -> Optional[tuple]:
-        """One guide per key array: the first key of every bucket, or -1;
-        None when more than ``_GUIDE_FAR`` of the buckets hold -1."""
+    def _guides(self, starts: np.ndarray) -> Optional[np.ndarray]:
+        """The first key of every bucket, or -1; None when more than
+        ``_GUIDE_FAR`` of the buckets hold -1."""
         n_buckets = 1 << (_U_BITS - self.shift)
         buckets = np.arange(n_buckets, dtype=np.uint64) << np.uint64(self.shift)
-        guides = []
+        ends = np.append(starts[1:], len(self.keys))
+        guide = np.empty((len(starts), n_buckets), dtype=np.int32)
         far = 0
-        for c, keys in enumerate(self.keys):
-            lo = c * _KEY_ROWS
-            hi = min(lo + _KEY_ROWS, len(starts))
-            ends = np.append(starts[lo + 1 : hi], len(keys))
-            guide = np.empty((hi - lo, n_buckets), dtype=np.int32)
-            for r0 in range(0, hi - lo, _PACK_ROWS):
-                r1 = min(r0 + _PACK_ROWS, hi - lo)
-                first = keys.searchsorted(self.row_keys[lo + r0 : lo + r1, None] | buckets,
-                                          side="left")
-                last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
-                fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(keys))
-                guide[r0:r1] = np.where(fast, first, -1)
-                far += int(np.count_nonzero(~fast))
-            guides.append(guide.ravel())
-        return tuple(guides) if far <= _GUIDE_FAR * len(starts) * n_buckets else None
+        for r0 in range(0, len(starts), _PACK_ROWS):
+            r1 = min(r0 + _PACK_ROWS, len(starts))
+            first = self.keys.searchsorted(self.row_keys[r0:r1, None] | buckets, side="left")
+            last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
+            fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(self.keys))
+            guide[r0:r1] = np.where(fast, first, -1)
+            far += int(np.count_nonzero(~fast))
+        return guide.ravel() if far <= _GUIDE_FAR * guide.size else None
 
     def __len__(self) -> int:
         return len(self.base)
 
-    def _search(self, c: int, q: np.ndarray) -> np.ndarray:
-        """``keys[c].searchsorted(q, "right")``, through the guide when
-        the table keeps one."""
-        keys = self.keys[c]
+    def _search(self, q: np.ndarray) -> np.ndarray:
+        """``keys.searchsorted(q, "right")``, through the guide when the
+        table keeps one."""
         if self.guides is None:
-            return keys.searchsorted(q, side="right")
-        start = self.guides[c].take(q >> self.shift)
-        first, *rest = self.spans[c]
+            return self.keys.searchsorted(q, side="right")
+        start = self.guides.take(q >> self.shift)
+        first, *rest = self.spans
         # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
         pos = start + (first.take(start, mode="clip") <= q)
         for view in rest:
             pos += view.take(start, mode="clip") <= q
         if start.min(initial=0) < 0:
             far = start < 0
-            pos[far] = keys.searchsorted(q[far], side="right")
+            pos[far] = self.keys.searchsorted(q[far], side="right")
         return pos
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -344,24 +336,48 @@ class _InverseCdf:
         q = (u * _U_SCALE).astype(np.uint64)
         q |= self.row_keys.take(rows)
         # Search, then gather base: their temporaries are never alive together.
-        if len(self.keys) == 1:
-            return self._search(0, q) + self.base.take(rows)
-        pos = np.empty(len(q), dtype=np.int64)
-        part = rows >> _ROW_BITS
-        for c in range(len(self.keys)):
-            sel = np.flatnonzero(part == c)
-            pos[sel] = self._search(c, q[sel])
-        return pos + self.base.take(rows)
+        return self._search(q) + self.base.take(rows)
 
     def draw_one(self, row: int, u: float) -> int:
         """``draw`` for one row and one uniform, in one numpy call."""
-        q = ((row & (_KEY_ROWS - 1)) << _U_BITS) + int(u * _U_SCALE)
-        keys = self.keys[row >> _ROW_BITS]
-        return int(self.base[row]) + int(keys.searchsorted(np.uint64(q), side="right"))
+        q = (row << _U_BITS) + int(u * _U_SCALE)
+        return int(self.base[row]) + int(self.keys.searchsorted(np.uint64(q), side="right"))
 
 
 # Dyadic batches of at most this many rows walk the levels on Python scalars.
 _SCALAR_ROWS = 16
+
+# Run costs -log p are capped here, above any query's (at most -log
+# 2^-53, about 36.7), so a 0 cookie's cost is finite and stops every run.
+_COST_CAP = 64.0
+
+
+class _LogLevel:
+    """Level 0 of a cycle of more than ``_KEY_ROWS`` slots, searched in
+    log space (see ``_DyadicSampler``): ``t[i]`` is the capped sum of
+    -log p over slots 0 .. i - 1 (mod M), for i up to two periods."""
+
+    def __init__(self, cycle: tuple[float, ...]):
+        p = np.asarray(cycle, dtype=float)
+        # Row 0 of the slot-run law, built as ``slot_runs`` builds it, so
+        # fail has the bits of that route's.
+        row = np.ones(len(p))
+        np.cumprod(p[:-1], out=row[1:])
+        row *= 1.0 - p
+        self.fail = min(float(row.sum()), 1.0)
+        with np.errstate(divide="ignore"):
+            cost = np.minimum(-np.log(p), _COST_CAP)
+        self.t = np.concatenate(([0.0], np.cumsum(np.tile(cost, 2))))
+        self.t_list = self.t.tolist()
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.t.searchsorted(self.t.take(rows) - np.log1p(-self.fail * u), "right") - rows - 1
+
+    def draw_one(self, row: int, u: float) -> int:
+        # numpy's log1p, as in ``draw``: math.log1p can differ in the last
+        # bit, and the scalar walk must draw what the vector walk draws.
+        t = self.t_list
+        return bisect.bisect_right(t, t[row] - float(np.log1p(-self.fail * u))) - row - 1
 
 
 class _DyadicSampler:
@@ -380,15 +396,14 @@ class _DyadicSampler:
     inverse-CDF lookup per bit, so the cost per draw is logarithmic in
     x.  Levels extend lazily as larger x appear.
 
-    A level is one ``_InverseCdf`` with a row per start slot, so a lookup
-    for a batch is one search per key array whatever slots the draws sit
-    in; a level no draw has a bit on is skipped.  One key array holds
-    2^11 slots, so a period above 2048 splits each level over several.
-    A batch of at most ``_SCALAR_ROWS`` draws (and ``draw_one``) walks
-    the levels on Python scalars instead, with the same uniforms in the
-    same order and so the same draws: at x near 2500 a vector walk of 17
-    draws costs about 270 us, mostly numpy call overhead, and a scalar
-    one 13 us a draw (2-vCPU host).
+    A level is one ``_InverseCdf`` with a row per start slot (but see
+    periods above 2048 slots below), so a lookup for a batch is one
+    search whatever slots the draws sit in; a level no draw has a bit on
+    is skipped.  A batch of at most ``_SCALAR_ROWS`` draws (and
+    ``draw_one``) walks the levels on Python scalars instead, with the
+    same uniforms in the same order and so the same draws: at x near
+    2500 a vector walk of 17 draws costs about 270 us, mostly numpy call
+    overhead, and a scalar one 13 us a draw (2-vCPU host).
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -398,6 +413,23 @@ class _DyadicSampler:
     k0 and trimmed, normalized M x w rows, and is dropped (None) once
     the cap, which depends only on M and w, refuses a square.  A pile
     thus retains its levels' keys and guides plus, until then, one pmf.
+
+    Above 2048 slots (M > ``_KEY_ROWS``) M^2 alone exceeds the cap, so
+    level 0, the only level, serves only lookups.  It is then a
+    ``_LogLevel``: no table, no pmf and no M x M slot-run law, in O(M)
+    memory (162 KiB at M = 2049, where a table kept 36 MiB after a
+    128 MiB build peak).  With t[i] the sum of -log p over slots
+    0 .. i - 1 of two periods, a run from slot r passes d cookies with
+    chance S(d) = exp(-(t[r + d] - t[r])), so its advance is at most d
+    with chance (1 - S(d + 1)) / fail, and uniform u draws
+    t.searchsorted(t[r] - log1p(-fail * u), "right") - r - 1.  Rounding
+    moves each t[j] - t[i] by at most e = 2M * 2^-52 * t[2M] (a query's
+    own rounding is smaller), so a row's law moves by at most
+    e * E min(N, M) / fail in total variation, N the run from slot r:
+    4e-9 on (0.99, 0.98) * 1024 + (0.99).  Against the normalized
+    ``slot_runs`` rows it measured 8e-14 there and at most 1.1e-13 on
+    three more piles of 2,101 to 2,500 slots, and on 2 * 10^6 random
+    (slot, u) pairs of each pile it drew what the table drew.
 
     Error per level: each level trims at most ``_TAIL`` of its mass from
     either end of the advance and renormalizes.  After an FFT square of
@@ -416,9 +448,13 @@ class _DyadicSampler:
 
     def __init__(self, env: CookieEnvironment):
         self.m = env.period
-        # Level 0: advance d within the period, then a failure.
-        runs, self.fail = slot_runs(env.cycle)
-        self.levels: list[_InverseCdf] = [self._finish(0, runs)]
+        if self.m > _KEY_ROWS:
+            self.levels: list = [_LogLevel(env.cycle)]
+            self.fail, self.pmf = self.levels[0].fail, None
+        else:
+            # Level 0: advance d within the period, then a failure.
+            runs, self.fail = slot_runs(env.cycle)
+            self.levels = [self._finish(0, runs)]
 
     def _finish(self, k0: int, rows: np.ndarray) -> _InverseCdf:
         cs = np.cumsum(rows.sum(axis=0))

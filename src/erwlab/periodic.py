@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .environments import CookieEnvironment
 
@@ -88,12 +89,13 @@ def slot_runs(params: tuple[float, ...]) -> tuple[np.ndarray, float]:
     """
     m = len(params)
     p = np.asarray(params, dtype=float)
-    slots = np.arange(m)
-    # ahead[j, d] = p_{j+d}; prods[j, d] is the product of d of them.
-    ahead = p[(slots[:, None] + slots[:-1]) % m]
-    prods = np.ones((m, m))
-    np.cumprod(ahead, axis=1, out=prods[:, 1:])
-    runs = prods * (1.0 - p)[(slots[:, None] + slots) % m]
+    # Window j of two periods holds slots j, j + 1, ... (mod M): runs[j, d]
+    # is the product of p over the first d, times 1 - p of slot j + d.
+    # Both windows are views, so the one M x M array is the only large one.
+    runs = np.empty((m, m))
+    runs[:, 0] = 1.0
+    np.cumprod(sliding_window_view(np.tile(p, 2), m - 1)[:m], axis=1, out=runs[:, 1:])
+    runs *= sliding_window_view(np.tile(1.0 - p, 2), m)[:m]
     return runs, min(float(runs[0].sum()), 1.0)
 
 

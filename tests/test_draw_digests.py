@@ -53,9 +53,9 @@ def test_step_draws_are_pinned(literal, digest):
     assert _sha(parts) == digest
 
 
-# The 2049-slot pile: two key arrays per level, and its bin cap refuses
-# every square, so x = 40 draws level 0 forty times.
-_TWO_KEY_ARRAYS = "periodic:" + ",".join(["0.99,0.98"] * 1024 + ["0.99"])
+# The 2049-slot pile: its bin cap refuses every square, so x = 40 draws
+# level 0, the log-space search, forty times.
+_PERIOD_2049 = "periodic:" + ",".join(["0.99,0.98"] * 1024 + ["0.99"])
 
 
 @pytest.mark.parametrize(
@@ -63,7 +63,7 @@ _TWO_KEY_ARRAYS = "periodic:" + ",".join(["0.99,0.98"] * 1024 + ["0.99"])
     [
         ("periodic:0.9,0.9,0.1,0.1", 10**6,
          "8370943860e51e5e53d47428cc27d3f99abc589954c4c3f1cb725435cecaf992"),
-        (_TWO_KEY_ARRAYS, 40,
+        (_PERIOD_2049, 40,
          "1b014acda6f9a69d77dab6e8ded87b5bd6d200b2370b18704a2ae2bf7fe39b5d"),
     ],
     ids=["levels-0-to-19", "refused-square"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,19 @@ def test_matrix_is_the_slot_run_law_moved_one_slot_on():
         for d in range(m):
             moved[j, (j + d + 1) % m] = runs[j, d] / fail
     np.testing.assert_allclose(chain.matrix, moved, rtol=1e-14, atol=0.0)
+
+
+def test_slot_runs_peaks_at_the_array_it_returns():
+    # The products and the failure chances are read through windows of
+    # two periods, so the M x M result is the only large array built.
+    params = tuple(np.random.default_rng(2).uniform(0.3, 0.75, 2000))
+    tracemalloc.start()
+    try:
+        runs, _ = slot_runs(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= runs.nbytes + (1 << 20), (peak, runs.nbytes)
 
 
 def test_stationary_check_rejects_a_perturbed_closed_form():

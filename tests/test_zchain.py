@@ -57,7 +57,7 @@ def test_sure_steps_need_no_table_keys():
     # On (1, 0) every U(x) is x for sure, so no table row keeps a key:
     # the chain stays at 1 to the right and dies at once to the left.
     env = make_periodic((1.0, 0.0))
-    assert all(len(k) == 0 for k in _cached_table(_directed(env, "right"), 10).keys)
+    assert len(_cached_table(_directed(env, "right"), 10).keys) == 0
     right = simulate_Z_ensemble(env, "right", 10, 300, master_seed=S)
     left = simulate_Z_ensemble(env, "left", 10, 300, master_seed=S)
     assert set(right.death_steps.tolist()) == {-1} and right.escaped == 0
