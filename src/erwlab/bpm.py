@@ -285,7 +285,7 @@ def absorb(
         t += 1
         z = step(z, rng)
         # Most steps kill no run: two reductions find that without a mask.
-        lo, hi = z.min(), z.max()
+        lo, hi = np.minimum.reduce(z), np.maximum.reduce(z)
         if lo == 0 or hi >= top:
             live = z > 0
             death[idx[~live]] = t

@@ -36,6 +36,10 @@ class EnvPredicates:
 
 Number = Union[float, int, str, Fraction]
 
+# How far a cookie's float may lie from its exact value: ``mirror`` rounds
+# 1 - p once, which moves it by at most 2^-53.
+_EXACT_SLACK = 2.0**-52
+
 
 def _coerce(value: Number) -> tuple[float, Optional[Fraction]]:
     """Return (float value, exact fraction if one was given)."""
@@ -62,7 +66,10 @@ class CookieEnvironment:
 
     ``cycle`` holds at least one entry and ``prefix`` may be empty;
     ``period`` is the cycle's length.  ``exact_prefix`` and
-    ``exact_cycle`` carry optional exact rationals for the same entries.
+    ``exact_cycle`` carry optional exact rationals for the same entries:
+    one per float, each within 2^-52 of it, or construction raises
+    ``ValueError``, since the exact values decide criticality while the
+    samplers draw the floats.
     A prefix entry equal to the cycle's last entry is the cycle begun one
     cookie early, so construction moves it into the cycle (rotated):
     ``tail:0.1@0.9,0.1`` is ``periodic:0.1,0.9``, and the prefix is empty
@@ -80,6 +87,15 @@ class CookieEnvironment:
         for p in self.prefix + self.cycle:
             if math.isnan(p) or p < 0.0 or p > 1.0:
                 raise ValueError(f"cookie value {p!r} outside [0, 1]")
+        for name, floats, exact in (("exact_prefix", self.prefix, self.exact_prefix),
+                                    ("exact_cycle", self.cycle, self.exact_cycle)):
+            if exact is None:
+                continue
+            if len(exact) != len(floats):
+                raise ValueError(f"{name} holds {len(exact)} values, not {len(floats)}")
+            for f, q in zip(floats, exact):
+                if abs(float(q) - f) > _EXACT_SLACK:
+                    raise ValueError(f"{name} value {q} does not match cookie {f!r}")
         prefix, cycle = self.prefix, self.cycle
         ep, ec = self.exact_prefix, self.exact_cycle
         while prefix and prefix[-1] == cycle[-1]:

@@ -12,8 +12,9 @@ failure when cookies are consumed in pile order.  This module provides
   of shared Bernoulli trials for a prefix; the dyadic levels and the
   chain's table draw through ``_InverseCdf``, one packed integer key
   array searched a whole batch at a time (through a guide where few of
-  its buckets are crowded); a period above 2048 slots draws its one
-  level by a search of its run costs in log space,
+  its buckets are crowded) and bisected on Python ints for one draw; a
+  period above 2048 slots draws its one level by a search of its run
+  costs in log space,
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
 * Monte Carlo ladders of drift/diffusion estimates over growing x.
@@ -204,6 +205,28 @@ _GUIDE_SPAN = 3
 _GUIDE_FAR = 0.25
 
 
+def _packed_keys(cdf: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of ``_InverseCdf``, written over ``cdf`` ``_PACK_ROWS``
+    rows at a time, and the position of every row's first key.  Its
+    temporaries die with it, before the guide is built."""
+    buf = cdf.view(np.uint64)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.empty(len(sizes), dtype=np.int64)
+    end = 0
+    for r0 in range(0, len(sizes), _PACK_ROWS):
+        r1 = min(r0 + _PACK_ROWS, len(sizes))
+        c = cdf[bounds[r0] : bounds[r1]]
+        live = c < 1.0
+        counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
+        k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
+        k += np.repeat(np.arange(r0, r1, dtype=np.uint64) << _U_BITS, counts)
+        starts[r0:r1] = end + np.cumsum(counts) - counts
+        # Writes stay behind the rows not yet read: end <= bounds[r0].
+        buf[end : end + len(k)] = k
+        end += len(k)
+    return buf[:end], starts
+
+
 class _InverseCdf:
     """Inverse-CDF draws from stacked cdf rows.
 
@@ -234,82 +257,92 @@ class _InverseCdf:
 
     Search: every ``draw`` batch, whatever its size, goes through the
     table's Chen-Asau guide (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, section III.2.4); on a table that keeps no guide,
-    and in ``draw_one``, a lookup is one plain ``searchsorted``.  A row has
-    2^g buckets, g the largest value with 2^g * ``_GUIDE_SPAN`` at most
-    the table's mean keys per row, and never below ``_GUIDE_BITS``.
-    Bucket b of row r holds the keys whose j lies in [b, b + 1) *
-    2^(53 - g), and the guide stores the position of its first key.  The
-    query's top 11 + g bits are its row and bucket, so one gather at the
-    query shifted right by 53 - g finds the start.  The answer is the
-    start plus the count of the next ``_GUIDE_SPAN`` keys at or below the
-    query, one gather and compare per view ``keys[i:]``: every key
-    before the start is below the query, every key past the bucket above
-    it.  A bucket with more keys than that (the far tails), or too close
-    to the array's end for the count, stores -1, and a batch holding
-    such queries searches them plainly.  With the row keys r << 53 and
-    the views made once per table, ``draw`` is 18 numpy calls, or 22
-    with a far query (a chain table's batch of a few hundred draws
-    almost always has one).  The guide holds one int32 per bucket: 256
-    bytes a row at g = 6, and at most 4 bytes per ``_GUIDE_SPAN`` keys
-    above it, so at most max(256 bytes a row, 1/6 of the key bytes).  It
-    is built ``_PACK_ROWS`` rows at a time, for the same malloc reason
-    as the keys.  Row ends come from the row starts, never from the key
-    (r + 1) << 53, which wraps to 0 for row 2047.
+    Generation*, 1986, section III.2.4), or is one plain ``searchsorted``
+    on a table that keeps no guide.  A row has 2^g buckets, g the largest
+    value with 2^g * ``_GUIDE_SPAN`` at most twice the table's mean keys
+    per row (1.5 to 3 keys a bucket on average), and never below
+    ``_GUIDE_BITS``.  Bucket b of row r holds the keys whose j lies in
+    [b, b + 1) * 2^(53 - g), and the guide stores the position of its
+    first key.  The query's top 11 + g bits are its row and bucket, so
+    one gather at the query shifted right by 53 - g finds the start,
+    widened from int32 to intp once so that the gathers below take it
+    as it is.  The answer is the start plus the count of the next
+    ``_GUIDE_SPAN`` keys at or below the query, one gather and compare
+    per view ``keys[i:]``: every key before the start is below the
+    query, every key past the bucket above it.  A bucket with more keys
+    than that (the far tails), or too close to the array's end for the
+    count, stores -1, and a batch holding such queries searches them
+    plainly.  With the row keys r << 53 and the views made once per
+    table, ``draw`` is 19 numpy calls, or 23 with a far query (a chain
+    table's batch of a few hundred draws almost always has one, though
+    only 2.6 % of uniform queries are far at g = 8, against 5.9 % at
+    g = 7).  The guide holds one int32 per bucket: 256 bytes a row at
+    g = 6, and at most 4 bytes per 1.5 keys above it, so at most
+    max(256 bytes a row, 1/3 of the key bytes).  It is built
+    ``_PACK_ROWS`` rows at a time, for the same malloc reason as the
+    keys, from a count of the block's keys per bucket (``bincount`` of
+    their top 11 + g bits).  Row ends come from the row starts, never
+    from the key (r + 1) << 53, which wraps to 0 for row 2047.
+
+    ``draw_one`` makes no numpy call: it bisects row r's keys between
+    the row's bounds on Python ints (``bisect_right`` over memoryviews
+    of the keys, the row bounds and ``base``, which share the arrays'
+    memory), and every key of an earlier row is below the query and
+    every key of a later one above it, so it finds ``searchsorted``'s
+    position.  On a chain table that is 0.85 us a lookup, against
+    1.45 us for a one-element ``searchsorted`` (2-vCPU host).
 
     A table keeps its guide unless more than ``_GUIDE_FAR`` of the
     buckets store -1, as uniform queries would then mostly pay for the
     guide and the plain search both.  With g sized from the rows, only
     tiny tables lose their guide: with a few keys a row, most buckets
     lie within ``_GUIDE_SPAN`` keys of the array's end, and a plain
-    search of so few keys is fast.  The chain tables hold about 410 keys
-    a row (g = 7) and the widest dyadic levels thousands (g = 8 to 11).
+    search of so few keys is fast.  The chain tables hold 410 to 680
+    keys a row (g = 8, a 2 MiB guide) and the widest dyadic levels
+    thousands (g = 9 to 13).
     """
 
     def __init__(self, cdf: np.ndarray, sizes: np.ndarray, k0: "int | np.ndarray"):
         if len(sizes) > _KEY_ROWS:
             raise ValueError(f"an inverse-CDF table holds at most {_KEY_ROWS} rows")
-        buf = cdf.view(np.uint64)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        starts = np.empty(len(sizes), dtype=np.int64)
-        end = 0
-        for r0 in range(0, len(sizes), _PACK_ROWS):
-            r1 = min(r0 + _PACK_ROWS, len(sizes))
-            c = cdf[bounds[r0] : bounds[r1]]
-            live = c < 1.0
-            counts = np.add.reduceat(live, bounds[r0:r1] - bounds[r0], dtype=np.int64)
-            k = np.ceil(c[live] * _U_SCALE).astype(np.uint64)
-            k += np.repeat(np.arange(r0, r1, dtype=np.uint64) << _U_BITS, counts)
-            starts[r0:r1] = end + np.cumsum(counts) - counts
-            # Writes stay behind the rows not yet read: end <= bounds[r0].
-            buf[end : end + len(k)] = k
-            end += len(k)
-        self.keys = buf[:end]
+        self.keys, starts = _packed_keys(cdf, sizes)
+        end = len(self.keys)
         self.base = k0 - starts
         self.row_keys = np.arange(len(sizes), dtype=np.uint64) << _U_BITS
-        # The largest g with 2^g * _GUIDE_SPAN <= the mean keys per row.
-        g = (end // (_GUIDE_SPAN * len(sizes))).bit_length() - 1
+        # The largest g with 2^g * _GUIDE_SPAN <= twice the mean keys per row.
+        g = (2 * end // (_GUIDE_SPAN * len(sizes))).bit_length() - 1
         self.shift = _U_BITS - max(g, _GUIDE_BITS)
         # An empty key array (every row a sure value) has nothing to guide.
         self.guides = self._guides(starts) if end else None
         self.spans = tuple(self.keys[i:] for i in range(_GUIDE_SPAN))
+        # ``draw_one`` reads these on Python ints, without copying them.
+        self._scalar = (memoryview(self.keys), memoryview(np.append(starts, end)),
+                        memoryview(self.base))
 
     def _guides(self, starts: np.ndarray) -> Optional[np.ndarray]:
         """The first key of every bucket, or -1; None when more than
         ``_GUIDE_FAR`` of the buckets hold -1."""
-        n_buckets = 1 << (_U_BITS - self.shift)
-        buckets = np.arange(n_buckets, dtype=np.uint64) << np.uint64(self.shift)
-        ends = np.append(starts[1:], len(self.keys))
-        guide = np.empty((len(starts), n_buckets), dtype=np.int32)
+        g = _U_BITS - self.shift
+        n = len(self.keys)
+        bounds = np.append(starts, n)
+        guide = np.empty(len(starts) << g, dtype=np.int32)
         far = 0
         for r0 in range(0, len(starts), _PACK_ROWS):
             r1 = min(r0 + _PACK_ROWS, len(starts))
-            first = self.keys.searchsorted(self.row_keys[r0:r1, None] | buckets, side="left")
-            last = np.append(first[:, 1:], ends[r0:r1, None], axis=1)
-            fast = (last - first <= _GUIDE_SPAN) & (first + _GUIDE_SPAN <= len(self.keys))
-            guide[r0:r1] = np.where(fast, first, -1)
-            far += int(np.count_nonzero(~fast))
-        return guide.ravel() if far <= _GUIDE_FAR * guide.size else None
+            # A key's top 11 + g bits are its row and bucket, so counting
+            # the block's keys per bucket gives every bucket's first key.
+            ids = (self.keys[bounds[r0] : bounds[r1]] >> np.uint64(self.shift)).view(np.intp)
+            ids -= r0 << g
+            counts = np.bincount(ids, minlength=(r1 - r0) << g)
+            del ids  # before the next block's
+            first = guide[r0 << g : r1 << g]
+            np.cumsum(counts, out=first)
+            first -= counts
+            first += bounds[r0]
+            slow = (counts > _GUIDE_SPAN) | (first > n - _GUIDE_SPAN)
+            first[slow] = -1
+            far += int(np.count_nonzero(slow))
+        return guide if far <= _GUIDE_FAR * guide.size else None
 
     def __len__(self) -> int:
         return len(self.base)
@@ -319,13 +352,14 @@ class _InverseCdf:
         table keeps one."""
         if self.guides is None:
             return self.keys.searchsorted(q, side="right")
-        start = self.guides.take(q >> self.shift)
+        # Widened once here, not by each gather below.
+        start = self.guides.take(q >> self.shift).astype(np.intp)
         first, *rest = self.spans
         # Past its bucket a key exceeds q; a far bucket's -1 clips to 0.
         pos = start + (first.take(start, mode="clip") <= q)
         for view in rest:
             pos += view.take(start, mode="clip") <= q
-        if start.min(initial=0) < 0:
+        if np.minimum.reduce(start, initial=0) < 0:
             far = start < 0
             pos[far] = self.keys.searchsorted(q[far], side="right")
         return pos
@@ -339,13 +373,15 @@ class _InverseCdf:
         return self._search(q) + self.base.take(rows)
 
     def draw_one(self, row: int, u: float) -> int:
-        """``draw`` for one row and one uniform, in one numpy call."""
+        """``draw`` for one row and one uniform, by bisecting the row's keys."""
+        keys, bounds, base = self._scalar
+        row = int(row)  # a numpy row would wrap in the shift below
         q = (row << _U_BITS) + int(u * _U_SCALE)
-        return int(self.base[row]) + int(self.keys.searchsorted(np.uint64(q), side="right"))
+        return base[row] + bisect.bisect_right(keys, q, bounds[row], bounds[row + 1])
 
 
 # Dyadic batches of at most this many rows walk the levels on Python scalars.
-_SCALAR_ROWS = 16
+_SCALAR_ROWS = 24
 
 # Run costs -log p are capped here, above any query's (at most -log
 # 2^-53, about 36.7), so a 0 cookie's cost is finite and stops every run.
@@ -402,8 +438,10 @@ class _DyadicSampler:
     is skipped.  A batch of at most ``_SCALAR_ROWS`` draws (and
     ``draw_one``) walks the levels on Python scalars instead, with the
     same uniforms in the same order and so the same draws: at x near
-    2500 a vector walk of 17 draws costs about 270 us, mostly numpy call
-    overhead, and a scalar one 13 us a draw (2-vCPU host).
+    2500 on (0.9, 0.1) a vector walk of 25 draws costs about 270 us,
+    mostly numpy call overhead, and a scalar one 8.4 us a draw (2-vCPU
+    host), so the two cross near 32 draws.  The threshold stays below
+    that, where the scalar walk won in every setting measured.
 
     A level is at most 2^k (M - 1) + 1 wide whatever P is.  Long periods
     still make the square large, so no level is built whose transform
@@ -535,8 +573,9 @@ class _DyadicSampler:
             plan += [(k, i) for k in range(top - 1, -1, -1) for i, x in rows if x >> k & 1]
         out = [0] * len(xs)
         state = [0] * len(xs)
+        draw_one = [level.draw_one for level in self.levels]
         for (k, i), u in zip(plan, rng.random(len(plan)).tolist()):
-            adv = self.levels[k].draw_one(state[i], u)
+            adv = draw_one[k](state[i], u)
             out[i] += adv
             state[i] = (state[i] + adv + (1 << k)) % self.m
         return [o + self.m * int(rng.negative_binomial(x, self.fail)) for o, x in zip(out, xs)]
@@ -801,7 +840,7 @@ def simulate_Z_ensemble(
     def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(len(x))
         rows = x - 1
-        if x.max() <= cap:
+        if np.maximum.reduce(x) <= cap:
             return table.draw(rows, u)
         # Sizes above the cap take a throwaway lookup in row 0, then
         # their exact draws, which follow this step's uniforms.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,47 @@ def test_parse_rejects_unknown_kind_and_bad_values():
         CookieEnvironment((), (float("nan"),))
     with pytest.raises(ValueError, match="at least one cookie"):
         make_periodic(())
+
+
+def test_exact_values_must_match_their_floats():
+    # The exact values decide criticality while the samplers draw the
+    # floats: this pile's exact prefix is right-transient and its floats
+    # recurrent, so it is refused, as is a replace() that swaps the floats.
+    with pytest.raises(ValueError, match="does not match"):
+        CookieEnvironment((0.3, 0.3), (0.5,), (Fraction(9, 10), Fraction(9, 10)))
+    env = parse_env("tail:9/10,9/10@1/2")
+    with pytest.raises(ValueError, match="does not match"):
+        dataclasses.replace(env, prefix=(0.3, 0.3))
+    with pytest.raises(ValueError, match="holds 2 values, not 1"):
+        dataclasses.replace(env, prefix=(0.9,))
+    with pytest.raises(ValueError, match="holds 1 values, not 2"):
+        CookieEnvironment((), (0.9, 0.1), None, (Fraction(9, 10),))
+
+
+def test_parsed_and_mirrored_piles_keep_their_exact_values():
+    # mirror() rounds each 1 - p once, so random decimals and fractions
+    # build parsed, mirrored and mirrored twice, each float within 2^-53
+    # of its exact value (2^-52 is allowed).
+    rng = random.Random(5)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return repr(rng.random())
+        if kind == 1:
+            return f"{rng.random():.3f}"
+        if kind == 2:
+            b = rng.randrange(1, 10**6)
+            return f"{rng.randrange(b + 1)}/{b}"
+        return rng.choice(["0", "1", "1e-30", "0.5", "0.9999999999999999999"])
+
+    for _ in range(2_000):
+        prefix = ",".join(entry() for _ in range(rng.randrange(1, 4)))
+        cycle = ",".join(entry() for _ in range(rng.randrange(1, 4)))
+        env = parse_env(f"tail:{prefix}@{cycle}")
+        for e in (env, env.mirror(), env.mirror().mirror()):
+            pairs = zip(e.prefix + e.cycle, (e.exact_prefix or ()) + e.exact_cycle)
+            assert max(abs(float(q) - f) for f, q in pairs) <= 2.0**-53
 
 
 @given(periods)

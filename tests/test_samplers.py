@@ -345,15 +345,15 @@ def test_table_above_one_key_array_is_refused():
 
 
 def _guide_bound(inv):
-    """The guide's stated size bound: max(256 bytes a row, 1/6 of the key bytes)."""
-    return max(256 * len(inv), inv.keys.nbytes // 6)
+    """The guide's stated size bound: max(256 bytes a row, 1/3 of the key bytes)."""
+    return max(256 * len(inv), inv.keys.nbytes // 3)
 
 
 def test_chain_table_guide_has_bounded_size():
     # The guide holds one int32 per bucket, within max(256 bytes a row,
-    # 1/6 of the key bytes), and its build leaves no large temporary
-    # behind.  Both piles' rows are wide enough for g = 7.
-    for lit, g in (("periodic:0.9,0.9,0.1,0.1", 7), ("bounded:0.9,0.9", 7)):
+    # 1/3 of the key bytes), and its build leaves no large temporary
+    # behind.  Both piles' rows are wide enough for g = 8.
+    for lit, g in (("periodic:0.9,0.9,0.1,0.1", 8), ("bounded:0.9,0.9", 8)):
         table = _chain_table(parse_env(lit), _TABLE_CAP)
         assert table.shift == _U_BITS - g
         nbytes = table.guides.nbytes
@@ -397,12 +397,12 @@ def _wide_level():
 
 def test_wide_level_sizes_its_guide_from_its_rows():
     # Level 15 of the four-slot pile holds about 2,200 keys a row, so its
-    # guide has 2^9 buckets a row (about 4 keys each) and the table keeps it.
+    # guide has 2^10 buckets a row (about 2 keys each) and the table keeps it.
     inv = _wide_level()
     g = _U_BITS - inv.shift
-    assert g == 9
+    assert g == 10
     n_keys = len(inv.keys)
-    assert (_GUIDE_SPAN << g) * len(inv) <= n_keys < (2 * _GUIDE_SPAN << g) * len(inv)
+    assert (_GUIDE_SPAN << g) * len(inv) <= 2 * n_keys < (2 * _GUIDE_SPAN << g) * len(inv)
     assert inv.guides is not None
     assert inv.guides.nbytes <= _guide_bound(inv)
     far = inv.guides < 0
@@ -426,14 +426,17 @@ def test_tiny_table_keeps_no_guide():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP), _wide_level],
-    ids=["chain-table", "wide-level"],
+    [lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
+     lambda: _cached_table(make_periodic((0.9, 0.9, 0.1, 0.1)), _TABLE_CAP), _wide_level],
+    ids=["chain-table", "four-slot-chain-table", "wide-level"],
 )
 def test_guided_search_equals_plain_searchsorted(build):
     # The guided count gives searchsorted's position exactly: at every key,
     # one below and one above it, at each row's ends, and at random points,
     # in buckets the guide serves and in far buckets (-1), which take the
-    # plain search.
+    # plain search.  ``draw_one`` bisects one row and must find the same
+    # position, for Python and numpy rows alike: a numpy row shifted left
+    # by 53 bits would wrap from row 1024 on.
     inv = build()
     assert inv.guides is not None
     rng = np.random.default_rng(3)
@@ -447,7 +450,15 @@ def test_guided_search_equals_plain_searchsorted(build):
     q = q[q >> np.uint64(_U_BITS) < len(rows)]  # a step off the ends may leave the rows
     starts = inv.guides[(q >> np.uint64(inv.shift)).astype(np.int64)]
     assert np.any(starts < 0) and np.any(starts >= 0)
-    assert inv._search(q).tolist() == keys.searchsorted(q, side="right").tolist()
+    pos = keys.searchsorted(q, side="right")
+    assert inv._search(q).tolist() == pos.tolist()
+    row = (q >> np.uint64(_U_BITS)).astype(np.int64)
+    u = (q & np.uint64(2**_U_BITS - 1)).astype(float) / _U_SCALE
+    want = (inv.base[row] + pos).tolist()
+    assert [inv.draw_one(r, v) for r, v in zip(row.tolist(), u.tolist())] == want
+    numpy_rows = np.flatnonzero(row >= min(1024, len(inv) - 1))[::5]
+    assert len(numpy_rows) and isinstance(row[numpy_rows[0]], np.int64)
+    assert [inv.draw_one(row[i], u[i]) for i in numpy_rows] == [want[i] for i in numpy_rows]
 
 
 @pytest.mark.parametrize(
