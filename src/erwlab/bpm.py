@@ -208,7 +208,9 @@ class ZEnsembleResult:
         return math.sqrt(max(f * (1.0 - f), 0.0) / self.trials)
 
     def survival_at(self, horizon: int) -> float:
-        """Survival frequency at any horizon up to the simulated one."""
+        """Survival frequency at any horizon from 0 up to the simulated one."""
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
         if horizon > self.horizon:
             raise ValueError("horizon exceeds the simulated range")
         d = self.death_steps

@@ -117,6 +117,20 @@ def _int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------
 
 
+def _verdict_fields(env: CookieEnvironment, diag: periodic.PeriodicDiagnostics) -> dict:
+    """The fields ``classify`` and ``analyze`` both report."""
+    return {
+        "environment": format_env(env),
+        "classification": diag.classification.value,
+        "p_bar": diag.p_bar,
+        "mu": diag.mu,
+        "rho": diag.rho,
+        "nu": diag.nu,
+        "theta_right": diag.theta_right,
+        "theta_left": diag.theta_left,
+    }
+
+
 def _cmd_classify(args: argparse.Namespace) -> dict:
     if args.env is not None and args.positive_delta is not None:
         raise CliError("--positive-delta classifies without --env; give one of the two")
@@ -125,18 +139,10 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
         label = periodic.classify_positive(delta).value
         return {"classification": label, "delta": delta, "method": "positive-drift"}
     env = _env_of(args)
-    diag = periodic.diagnostics(env)
     return {
-        "environment": format_env(env),
+        **_verdict_fields(env, periodic.diagnostics(env)),
         "predicates": asdict(env.predicates()),
-        "classification": diag.classification.value,
         "method": "exact",
-        "p_bar": diag.p_bar,
-        "mu": diag.mu,
-        "rho": diag.rho,
-        "nu": diag.nu,
-        "theta_right": diag.theta_right,
-        "theta_left": diag.theta_left,
     }
 
 
@@ -156,15 +162,8 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
             )
         _emit_csv(rows, args.chain_csv)
     return {
-        "environment": format_env(env),
-        "classification": diag.classification.value,
-        "p_bar": diag.p_bar,
+        **_verdict_fields(env, diag),
         "prefix_drifts": list(diag.delta),
-        "mu": diag.mu,
-        "rho": diag.rho,
-        "nu": diag.nu,
-        "theta_right": diag.theta_right,
-        "theta_left": diag.theta_left,
         "mean_run_length": chain.mean_run(),
     }
 
@@ -231,7 +230,11 @@ def _cmd_bpm(args: argparse.Namespace) -> dict:
     horizon, trials = args.horizon, args.trials
     if horizon < 0 or trials < 0:
         raise CliError("--horizon and --trials must be nonnegative")
-    if horizon > 0 and trials > 0:
+    if horizon > 0 and trials == 0:
+        raise CliError("--horizon needs --trials")
+    if trials > 0 and horizon == 0:
+        raise CliError("--trials needs --horizon")
+    if horizon > 0:
         sim = bpm_mod.simulate_bpm(model, horizon, trials, args.seed)
         result.update(
             horizon=horizon,
@@ -248,6 +251,8 @@ def _cmd_walk(args: argparse.Namespace) -> list[list[object]]:
     every = args.emit_positions
     if args.positions_csv and not every:
         raise CliError("--positions-csv needs --emit-positions")
+    if every > 0 and not args.positions_csv:
+        raise CliError("--emit-positions needs --positions-csv")
     traces = walk.ensemble_walks(
         env, args.steps, args.trials, master_seed=args.seed, record_every=every
     )

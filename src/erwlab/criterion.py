@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kks import LadderStats
+from .kks import LadderStats, _power_sums
 
 
 class VerdictValue(enum.Enum):
@@ -161,9 +161,6 @@ def _lyapunov_value(kind: str, t: np.ndarray) -> np.ndarray:
 
 StepSampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
-# Draws per sampler call, bounding the memory of one estimate.
-_DRIFT_BLOCK = 1 << 16
-
 
 def lyapunov_drift(
     sampler: StepSampler,
@@ -186,15 +183,7 @@ def lyapunov_drift(
     if trials < 2:
         raise ValueError("need at least two trials")
     here = float(_lyapunov_value(kind, np.array([float(x)]))[0])
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    while done < trials:
-        b = min(_DRIFT_BLOCK, trials - done)
-        v = _lyapunov_value(kind, sampler(x, b, rng))
-        s1 += float(v.sum())
-        s2 += float((v * v).sum())
-        done += b
+    s1, s2, _, _ = _power_sums(lambda b: _lyapunov_value(kind, sampler(x, b, rng)), trials)
     mean = s1 / trials
     var = max(s2 / trials - mean * mean, 0.0)
     return mean - here, math.sqrt(var / trials)

@@ -46,8 +46,11 @@ def _coerce(value: Number) -> tuple[float, Optional[Fraction]]:
     if isinstance(value, Fraction):
         return float(value), value
     if isinstance(value, str):
-        frac = Fraction(value)
-        return float(frac), frac
+        try:
+            frac = Fraction(value)
+            return float(frac), frac
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"cookie value {value!r} is not a number in [0, 1]") from None
     f = float(value)
     if math.isnan(f):
         raise ValueError("cookie value must not be NaN")

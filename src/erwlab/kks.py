@@ -17,7 +17,8 @@ failure when cookies are consumed in pile order.  This module provides
   costs in log space,
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
-* Monte Carlo ladders of drift/diffusion estimates over growing x.
+* Monte Carlo ladders of drift/diffusion estimates over growing x,
+  whose blocked draw loop also serves the Lyapunov drifts of ``criterion``.
 
 Conventions: U(0) = 1, and the simulated chain treats 0 as absorbing so
 that survival means directional transience of the walk.
@@ -906,8 +907,25 @@ class LadderStats:
         return LadderStats(tuple(entries))
 
 
-# Draws per sampler call, bounding the memory of one ladder point.
-_LADDER_BLOCK = 1 << 16
+# Draws per sampler call, bounding the memory of one estimate.
+_DRAW_BLOCK = 1 << 16
+
+
+def _power_sums(draw: Callable[[int], np.ndarray], trials: int) -> tuple[float, ...]:
+    """Sums of v, v^2, v^3 and v^4 over ``trials`` values of ``draw(b)``,
+    which returns b values a call, in blocks of at most ``_DRAW_BLOCK``."""
+    s1 = s2 = s3 = s4 = 0.0
+    done = 0
+    while done < trials:
+        b = min(_DRAW_BLOCK, trials - done)
+        v = draw(b)
+        v2 = v * v
+        s1 += float(v.sum())
+        s2 += float(v2.sum())
+        s3 += float((v * v2).sum())
+        s4 += float((v2 * v2).sum())
+        done += b
+    return s1, s2, s3, s4
 
 
 def empirical_ladder(
@@ -935,17 +953,8 @@ def empirical_ladder(
     mu = asymptotic_mu(env)
     entries = []
     for x in xs:
-        s1 = s2 = s3 = s4 = 0.0
-        done = 0
-        while done < trials:
-            b = min(_LADDER_BLOCK, trials - done)
-            v = sample_U_many(env, x, b, rng).astype(float) - mu * x
-            v2 = v * v
-            s1 += float(v.sum())
-            s2 += float(v2.sum())
-            s3 += float((v * v2).sum())
-            s4 += float((v2 * v2).sum())
-            done += b
+        s1, s2, s3, s4 = _power_sums(
+            lambda b: sample_U_many(env, x, b, rng).astype(float) - mu * x, trials)
         n = float(trials)
         m1 = s1 / n
         m2 = s2 / n

@@ -13,8 +13,8 @@ recurrence versus transience.
 
 A prefix is consumed once, before the cycle starts at its slot 0, so it
 moves rho by its total drift delta_prefix and leaves mu and nu alone.
-One exact pass over the pile's entries as fractions gives theta for
-every pile, so theta is compared with 1 without round-off.  For the fair
+:func:`diagnostics` makes one exact pass over the pile's entries as
+fractions, so theta is compared with 1 without round-off.  For the fair
 cycle (1/2), rho = delta_prefix and nu = 2, so theta is the prefix's
 total drift: the bounded-pile rule of Kosygina and Zerner (2008).
 """
@@ -162,52 +162,6 @@ def _verify_stationary(matrix: np.ndarray, closed_form: np.ndarray, tol: float =
         )
 
 
-def _exact_values(
-    floats: tuple[float, ...], exact: Optional[tuple[Fraction, ...]]
-) -> tuple[Fraction, ...]:
-    """A pile part's entries as fractions; a float converts exactly."""
-    return exact if exact is not None else tuple(Fraction(p) for p in floats)
-
-
-@dataclass(frozen=True)
-class _ExactPass:
-    """Drifts, rho and nu of a pile, as fractions.
-
-    ``delta[i]`` is the total drift of the prefix and cycle entries 0..i;
-    ``rho_left`` = (2/M) sum p_i (-delta_i) is the mirrored pile's rho.
-    """
-
-    delta: tuple[Fraction, ...]
-    rho: Fraction
-    rho_left: Fraction
-    nu: Fraction
-
-    @property
-    def theta_right(self) -> Fraction:
-        return 2 * self.rho / self.nu
-
-    @property
-    def theta_left(self) -> Fraction:
-        return 2 * self.rho_left / self.nu
-
-
-def _exact_pass(env: CookieEnvironment) -> _ExactPass:
-    """One pass over the entries.  The cycle's drifts start from the
-    prefix's total, so at criticality, where (2/M) sum (1 - p_i) = 1,
-    rho is the cycle's rho plus delta_prefix and rho_left the cycle's
-    less it."""
-    start = sum((2 * p - 1 for p in _exact_values(env.prefix, env.exact_prefix)), Fraction(0))
-    ps = _exact_values(env.cycle, env.exact_cycle)
-    m = len(ps)
-    delta = tuple(itertools.accumulate((2 * p - 1 for p in ps), initial=start))[1:]
-    return _ExactPass(
-        delta=delta,
-        rho=2 * sum(((1 - p) * d for p, d in zip(ps, delta)), Fraction(0)) / m,
-        rho_left=-2 * sum((p * d for p, d in zip(ps, delta)), Fraction(0)) / m,
-        nu=8 * sum((p * (1 - p) for p in ps), Fraction(0)) / m,
-    )
-
-
 def _compare_with_one(right: Union[Fraction, float], left: Union[Fraction, float]) -> Classification:
     """Right transient when ``right`` exceeds 1, left transient when
     ``left`` does, otherwise recurrent (1 itself included)."""
@@ -256,22 +210,33 @@ def classify_periodic(env: CookieEnvironment) -> Classification:
 def diagnostics(env: CookieEnvironment) -> PeriodicDiagnostics:
     """Classification together with every intermediate quantity."""
     _require_elliptic(env)
-    exact = _exact_pass(env)
+    # One pass over the entries as fractions (a float converts exactly).
+    # The cycle's drifts start from the prefix's total, so at criticality,
+    # where (2/M) sum (1 - p_i) = 1, rho is the cycle's rho plus
+    # delta_prefix and rho_left the cycle's less it.
+    start = sum((2 * Fraction(p) - 1 for p in env.exact_prefix or env.prefix), Fraction(0))
+    ps = [Fraction(p) for p in env.exact_cycle or env.cycle]
+    m = len(ps)
+    delta = list(itertools.accumulate((2 * p - 1 for p in ps), initial=start))[1:]
+    rho = 2 * sum(((1 - p) * d for p, d in zip(ps, delta)), Fraction(0)) / m
+    rho_left = -2 * sum((p * d for p, d in zip(ps, delta)), Fraction(0)) / m
+    nu = 8 * sum((p * (1 - p) for p in ps), Fraction(0)) / m
+    theta_right, theta_left = 2 * rho / nu, 2 * rho_left / nu
     critical = env.is_critical()
     if critical:
-        label = _compare_with_one(exact.theta_right, exact.theta_left)
+        label = _compare_with_one(theta_right, theta_left)
     elif env.mean_cookie() > 0.5:
         label = Classification.TRANSIENT_RIGHT
     else:
         label = Classification.TRANSIENT_LEFT
     return PeriodicDiagnostics(
         p_bar=env.mean_cookie(),
-        delta=tuple(float(d) for d in exact.delta),
+        delta=tuple(map(float, delta)),
         mu=asymptotic_mu(env),
-        rho=float(exact.rho) if critical else None,
-        nu=float(exact.nu),
-        theta_right=float(exact.theta_right) if critical else None,
-        theta_left=float(exact.theta_left) if critical else None,
+        rho=float(rho) if critical else None,
+        nu=float(nu),
+        theta_right=float(theta_right) if critical else None,
+        theta_left=float(theta_left) if critical else None,
         classification=label,
     )
 

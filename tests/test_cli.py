@@ -604,6 +604,15 @@ def test_positions_csv_without_emit_positions_is_a_clean_error(capsys, tmp_path)
     assert not target.exists()
 
 
+def test_emit_positions_without_positions_csv_is_a_clean_error(capsys):
+    argv = ["walk", "--env", "periodic:0.5,0.5", "--steps", "10", "--trials", "2",
+            "--emit-positions", "5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--positions-csv" in err
+
+
 def test_positive_delta_with_an_environment_is_a_clean_error(capsys):
     argv = ["classify", "--env", "periodic:1/3,2/3", "--positive-delta", "1"]
     code, out, err = _run(capsys, argv)
@@ -623,6 +632,19 @@ def test_bad_bpm_sizes_are_clean_errors(capsys, flags):
     assert code == 2
     assert out == ""
     assert "erwlab: error" in err
+
+
+@pytest.mark.parametrize(
+    "flags,missing",
+    [(["--horizon", "100"], "--trials"), (["--trials", "100"], "--horizon")],
+    ids=["horizon-alone", "trials-alone"],
+)
+def test_bpm_horizon_and_trials_need_each_other(capsys, flags, missing):
+    argv = ["bpm", "--offspring", "geometric:1", "--migration", "const:2"] + flags
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"needs {missing}" in err
 
 
 @pytest.mark.parametrize(
@@ -653,6 +675,13 @@ def test_unreachable_oracle_tail_is_a_clean_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("erwlab: error: tail")
+    assert "Traceback" not in err
+
+
+def test_literal_entry_that_is_no_number_is_a_clean_error(capsys):
+    code, out, err = _run(capsys, ["classify", "--env", "periodic:1/0"])
+    assert code == 2 and out == ""
+    assert err.startswith("erwlab: error: cookie value '1/0'")
     assert "Traceback" not in err
 
 

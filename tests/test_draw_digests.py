@@ -16,9 +16,10 @@ import pytest
 
 from erwlab import kks
 from erwlab.bpm import BpmModel, parse_migration, parse_offspring, simulate_bpm
+from erwlab.criterion import lyapunov_drift
 from erwlab.environments import parse_env
 from erwlab.kks import sample_U, sample_U_many, simulate_Z_ensemble
-from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, substream
+from erwlab.seeding import DEFAULT_SEED, TAG_GENERAL, TAG_LADDER, TAG_LYAPUNOV, substream
 from erwlab.walk import edge_crossings, ensemble_walks
 
 S = DEFAULT_SEED
@@ -149,3 +150,33 @@ def test_bpm_runs_are_pinned():
     # const:2 never dies: migration alone keeps the population above 0.
     assert _sha(parts) == (
         "d2d51df7a5dd8aae86e717fb6e85527099ef65a5ddfcd464ecfa5b27f1739666")
+
+
+# The ladder and Lyapunov estimators draw blocks of 2^16 values, so
+# 70,000 trials span two blocks.  The piles are the benchmark's.
+_ESTIMATOR_TRIALS = 70_000
+
+
+@pytest.mark.parametrize(
+    "literal,digest",
+    [
+        ("periodic:0.9,0.9,0.1,0.1",
+         "70d947f129914299bb4024aeb658a73848265c121b64a833cbe55a7fc218565e"),
+        ("periodic:0.9,0.1",
+         "71d9927e7f62dc6624c3503162d44950a0395f44b8bee106f0fde2ac3a77ff3b"),
+        ("bounded:0.9,0.9",
+         "08010b062a0969fd4359bfb32f7e13169ced30e6d89edc4a1334c7e66694cd88"),
+    ],
+)
+def test_ladder_estimates_are_pinned(literal, digest):
+    stats = kks.empirical_ladder(parse_env(literal), (20, 100, 500, 10_000), _ESTIMATOR_TRIALS,
+                                 substream(S, TAG_LADDER))
+    assert _sha(stats.to_rows()) == digest
+
+
+def test_lyapunov_drift_is_pinned():
+    sampler = kks.step_sampler(parse_env("periodic:0.9,0.1"))
+    drift, se = lyapunov_drift(sampler, "loglog", 10_000, _ESTIMATOR_TRIALS,
+                               substream(S, TAG_LYAPUNOV))
+    assert _sha([drift, se]) == (
+        "e11f3d28e23dddaab713d60b8e736d996bc842319d4dd52164cd0e94cbe45d9d")

@@ -158,6 +158,13 @@ def test_parse_rejects_unknown_kind_and_bad_values():
         make_periodic(())
 
 
+@pytest.mark.parametrize("entry", ["1/0", "1e400"])
+def test_literal_entry_that_is_no_number_is_a_value_error(entry):
+    # Fraction("1/0") divides by zero and float(Fraction("1e400")) overflows.
+    with pytest.raises(ValueError, match=f"cookie value '{entry}'"):
+        parse_env(f"periodic:{entry}")
+
+
 def test_exact_values_must_match_their_floats():
     # The exact values decide criticality while the samplers draw the
     # floats: this pile's exact prefix is right-transient and its floats

@@ -148,6 +148,13 @@ def test_survival_at_is_monotone_and_anchored():
         res.survival_at(2_001)
 
 
+def test_survival_at_refuses_a_negative_horizon():
+    res = ZEnsembleResult(10, 3, np.array([-1, 2, 5]), 0)
+    assert res.survival_at(0) == 1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        res.survival_at(-5)
+
+
 def test_ensemble_is_deterministic_in_the_seed():
     env = make_periodic((0.7, 0.3))
     a = simulate_Z_ensemble(env, "right", 300, 2_000, master_seed=S)
