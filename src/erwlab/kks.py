@@ -6,17 +6,21 @@ chain whose step distribution U(x) counts successes before the x-th
 failure when cookies are consumed in pile order.  This module provides
 
 * an exact dynamic-programming oracle for the law of U(x), whose
-  failure-count recursion also builds the chain's inverse-CDF table,
+  failure-count recursion also builds the pile's inverse-CDF table,
 * fast exact samplers: the cycle's own route (a negative binomial for a
   constant cycle, dyadic block composition otherwise), after one stage
-  of shared Bernoulli trials for a prefix; the dyadic levels and the
-  chain's table draw through ``_InverseCdf``, one packed integer key
+  of shared Bernoulli trials for a prefix; every pile but a constant
+  cycle and a supercritical pile draws x <= 2048 from its table
+  instead, one lookup a draw, the table grown on demand and shared with
+  the chain (``_samplers`` states the route rule); the dyadic levels
+  and the table draw through ``_InverseCdf``, one packed integer key
   array searched a whole batch at a time (through a guide where few of
   its buckets are crowded) and bisected on Python ints for one draw; a
   period above 2048 slots draws its one level by a search of its run
   costs in log space,
 * ensembles of the chain on ``bpm.absorb``, the absorbing-chain engine
   shared with the population (one run is an ensemble of one trial),
+  drawing through the same samplers,
 * Monte Carlo ladders of drift/diffusion estimates over growing x,
   whose blocked draw loop also serves the Lyapunov drifts of ``criterion``.
 
@@ -111,9 +115,15 @@ def _failure_counts(env: CookieEnvironment, size: int, floor: float,
     into it reaches ``floor``.  Trial n, with failure
     chance q_n, yields ``(lo, chances)``: failure lo + i + 1 lands on it
     with chance ``chances[i] = q_n * live[lo + i]``.  The sweep stops once
-    the window holds less than ``tail_eps``, read every 32 trials.  Its
-    three uses: the oracle, and the chain table's two sweeps (windows,
-    then chances), which yield the same trials.
+    the window holds less than ``tail_eps``, read every 32 trials (a
+    ``tail_eps`` of 0 never stops it), or once lo would step past
+    hi - 1, the window's last entry.  Nothing flows into its lowest entry,
+    so that entry is then either the top count, closed on the trial a
+    sweep to a larger size would close it, or all that is left of a mass
+    below the floor for good.  Its three uses: the oracle, whose floor
+    closes only exact zeros, so that rule drops only trials of zero
+    chances, and the table's two sweeps (windows, then chances), which
+    yield the same trials.
     """
     cap = _horizon_cap(env, size)
     live = np.zeros(size)
@@ -131,7 +141,9 @@ def _failure_counts(env: CookieEnvironment, size: int, floor: float,
         if hi < size and chances[-1] >= floor:
             hi += 1
         live[lo + 1 : hi] += chances[: hi - lo - 1]
-        while live[lo] < floor and lo < hi - 1:
+        while live[lo] < floor:
+            if lo == hi - 1:
+                return
             lo += 1
         if n % 32 == 0 and float(live[lo:hi].sum()) < tail_eps:
             return
@@ -246,7 +258,7 @@ class _InverseCdf:
     would spill into row r + 1.  The row index takes the 11 bits above
     j, so the one uint64 key array addresses 2^11 rows, and callers keep
     a table to at most ``_KEY_ROWS`` = 2^11 rows (a larger one raises
-    ``ValueError``): the chain table's cap is that, and a dyadic level is
+    ``ValueError``): a pile's table is capped there, and a dyadic level is
     a table only for periods of at most 2048 slots.
 
     ``base[r]`` is ``k0[r]`` less the position of row r's first key
@@ -635,80 +647,16 @@ def _prefix_trials(prefix: tuple[float, ...], xs: "int | np.ndarray",
     return out, xs - fails
 
 
-@lru_cache(maxsize=4)
-def _samplers(env: CookieEnvironment) -> tuple[Callable, Callable]:
-    """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw and
-    ``many(xs, rng)`` for one draw per entry of an array.
-
-    The one place that checks a pile and picks its route: the checks
-    cost O(M), so they run once per pile, and a cycle's dyadic levels
-    are kept with its samplers.  A pile without a prefix is its cycle's
-    route.  Otherwise ``_prefix_trials`` runs the prefix, and the
-    failures still needed come from the cycle's route, held in this
-    entry; in a batch, draws for rows that need none are made at x = 1
-    and dropped, so the batch is one call.
-    """
-    _require_nondegenerate(env)
-    cycle_one, cycle_many = _cycle_route(env)
-    if not env.prefix:
-        return cycle_one, cycle_many
-
-    def one(x: int, rng: np.random.Generator) -> int:
-        out, rem = _prefix_trials(env.prefix, x, None, rng)
-        return int(out) + (cycle_one(rem, rng) if rem > 0 else 0)
-
-    def many(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out, rem = _prefix_trials(env.prefix, xs, len(xs), rng)
-        needs = rem > 0
-        if np.any(needs):
-            out += np.where(needs, cycle_many(np.maximum(rem, 1), rng), 0)
-        return out
-
-    return one, many
-
-
-def sample_U_many(
-    env: CookieEnvironment, x: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized exact draws of U(x)."""
-    many = _samplers(env)[1]
-    if operator.index(x) < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return np.ones(size, dtype=np.int64)
-    return many(np.full(size, x, dtype=np.int64), rng)
-
-
-def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
-    """One exact draw of U(x)."""
-    one = _samplers(env)[0]
-    if operator.index(x) < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1
-    return one(x, rng)
-
-
-def step_sampler(
-    env: CookieEnvironment,
-) -> Callable[[int, int, np.random.Generator], np.ndarray]:
-    """Adapter exposing the pile as a generic chain-step sampler."""
-    _samplers(env)  # checks the pile now, not at the first draw
-
-    def draw(x: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_U_many(env, x, size, rng)
-
-    return draw
-
-
 # ---------------------------------------------------------------------
-# sampler tables (ensemble fast path)
+# the pile's table
 # ---------------------------------------------------------------------
 
 
-# Largest chain size the ensemble serves from a table: the rows that one
-# key array addresses.
+# Largest x a pile draws from its table: the rows that one key array
+# addresses.
 _TABLE_CAP = _KEY_ROWS
+# The table sweeps' window floor.
+_TABLE_FLOOR = 1e-18
 
 
 def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
@@ -719,10 +667,19 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     x - 1 failures after n - 1 trials and trial n fails, so each trial's
     chances feed every row in the window.  Its ends never move back, so
     row x is one run of trials.  Rows are trimmed to relative mass
-    1 - 2e-15 and renormalized (within 3e-13 of the oracle in total
-    variation, as measured up to x = 2048); the table backs samplers
-    only, never the oracle.  The cap is at most ``_TABLE_CAP`` = 2^11
-    rows, which one key array addresses.
+    1 - 2e-15 and renormalized; the table backs samplers only, never the
+    oracle.  The cap is at most ``_TABLE_CAP`` = 2^11 rows, which one
+    key array addresses.
+
+    No row depends on the cap, so a grown table draws what the smaller
+    one drew: the sweeps read no total and stop when the top row closes
+    (its live mass falls below the floor), the trial on which a sweep to
+    more rows moves past it, and below the cap the window and its chances
+    do not depend on the cap.  (The oracle's total, read every 32 trials,
+    cut the top row at a trial that depends on it.)  Each row is within
+    1e-11 of the oracle in total variation, as
+    ``test_table_rows_match_the_oracle`` checks (at most 1.1e-13 measured
+    on rows up to 2048 of five piles, ``tail_bound`` included).
 
     A first sweep records each trial's window, which sizes one float64
     buffer laid out row by row; a second scatters the chances into it.
@@ -731,7 +688,7 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     So the build holds one float64 per windowed (row, trial) pair plus
     one row's temporaries.
     """
-    spans = ((lo, lo + len(c)) for lo, c in _failure_counts(env, cap, 1e-18, 1e-16))
+    spans = ((lo, lo + len(c)) for lo, c in _failure_counts(env, cap, _TABLE_FLOOR, 0.0))
     try:
         windows = np.fromiter(spans, np.dtype((np.int64, 2)))
     except OracleHorizonError as exc:
@@ -746,7 +703,7 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     bounds = np.concatenate(([0], np.cumsum(ends - first)))
     to = bounds[:-1] - first
     buf = np.empty(bounds[-1])
-    for t, (lo, chances) in enumerate(_failure_counts(env, cap, 1e-18, 1e-16)):
+    for t, (lo, chances) in enumerate(_failure_counts(env, cap, _TABLE_FLOOR, 0.0)):
         buf[to[lo : lo + len(chances)] + t] = chances
     k0 = first - rows
     sizes = np.empty(cap, dtype=np.int64)
@@ -771,7 +728,141 @@ def _chain_table(env: CookieEnvironment, cap: int) -> _InverseCdf:
     return _InverseCdf(buf, sizes, k0)
 
 
-_cached_table = lru_cache(maxsize=8)(_chain_table)
+class _Route(NamedTuple):
+    """A pile's exact samplers (see ``_samplers``)."""
+
+    one: Callable[[int, np.random.Generator], int]
+    many: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    table: Optional[Callable[[int], _InverseCdf]]
+
+
+def _table_route(env: CookieEnvironment, one_above: Callable,
+                 many_above: Callable) -> _Route:
+    """The routes of a pile that draws x <= ``_TABLE_CAP`` from its table
+    and larger x from ``one_above`` and ``many_above``."""
+    table, size = None, 0
+
+    def fit(x: int) -> _InverseCdf:
+        """The table, first rebuilt at the next power of two at or above x
+        (x <= ``_TABLE_CAP``) if it has fewer than x rows."""
+        nonlocal table, size
+        if x > size:
+            rows = 1 << (int(x) - 1).bit_length()
+            table = _chain_table(env, rows)
+            size = rows
+        return table
+
+    def one(x: int, rng: np.random.Generator) -> int:
+        if x > _TABLE_CAP:
+            return one_above(x, rng)
+        # The chain's scalar step: a call to ``fit`` would add 10 % to it.
+        return (table if x <= size else fit(x)).draw_one(x - 1, rng.random())
+
+    def many(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        top = int(np.maximum.reduce(xs, initial=1))
+        if top <= _TABLE_CAP:
+            return fit(top).draw(xs - 1, rng.random(len(xs)))
+        if np.minimum.reduce(xs) > _TABLE_CAP:
+            return many_above(xs, rng)
+        # Rows above the cap take a throwaway lookup in row 0, then their
+        # draws, which follow the batch's uniforms.
+        u = rng.random(len(xs))
+        big = xs > _TABLE_CAP
+        rows = np.where(big, 0, xs - 1)
+        k = fit(int(np.maximum.reduce(rows)) + 1).draw(rows, u)
+        k[big] = many_above(xs[big], rng)
+        return k
+
+    return _Route(one, many, fit)
+
+
+@lru_cache(maxsize=4)
+def _samplers(env: CookieEnvironment) -> _Route:
+    """Exact samplers of U(x), x >= 1: ``one(x, rng)`` for one draw,
+    ``many(xs, rng)`` for one per entry of an array, and ``table(x)``,
+    the pile's table grown to serve U(x), x <= ``_TABLE_CAP`` (None on a
+    pile without one).
+
+    The one place that checks a pile and picks its route, a pure function
+    of the pile and x; the checks cost O(M), so they run once per pile.
+    * The cycle's route (``_cycle_route``), after ``_prefix_trials`` for
+      a prefix: in a batch, rows that need no failure after the prefix
+      draw at x = 1 and are dropped, so the batch is one call.
+    * The table, for x <= ``_TABLE_CAP`` on every pile but a constant
+      cycle without a prefix (its negative binomial beats a lookup) and a
+      supercritical pile (its chain escapes before a table repays its
+      build; whether it escapes does not depend on the horizon): one
+      lookup a draw.  A batch with rows above the cap takes a uniform a
+      row and a throwaway lookup in row 0 for those rows, then their
+      cycle-route draws; a batch with none within the cap takes no table
+      pass.  The table grows on demand, rebuilt at the next power of two
+      at or above the largest x drawn; its rows do not depend on its size
+      (``_chain_table``), so no draw depends on the calls before it.
+    Law per draw, in total variation: a table row within 1e-11 of the
+    exact law (``_chain_table``), the dyadic levels within the bounds on
+    ``_DyadicSampler``, the negative binomial and the prefix trials exact.
+
+    Memory: the cache holds at most four piles, each with its dyadic
+    levels and at most one table of at most ``_TABLE_CAP`` rows (keys and
+    a guide of at most a third of their bytes or 256 bytes a row): 8.4 to
+    12.6 MiB at 2048 rows and 1.1 to 1.6 MiB at 512 on the benchmark's
+    piles.
+    """
+    _require_nondegenerate(env)
+    cycle_one, cycle_many = _cycle_route(env)
+    if env.prefix:
+
+        def one(x: int, rng: np.random.Generator) -> int:
+            out, rem = _prefix_trials(env.prefix, x, None, rng)
+            return int(out) + (cycle_one(rem, rng) if rem > 0 else 0)
+
+        def many(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            out, rem = _prefix_trials(env.prefix, xs, len(xs), rng)
+            needs = rem > 0
+            if np.any(needs):
+                out += np.where(needs, cycle_many(np.maximum(rem, 1), rng), 0)
+            return out
+
+    else:
+        one, many = cycle_one, cycle_many
+    supercritical = _escape_threshold(env, 1) is not None and not env.is_critical()
+    if _constant_value(env) is not None or supercritical:
+        return _Route(one, many, None)
+    return _table_route(env, one, many)
+
+
+def sample_U_many(
+    env: CookieEnvironment, x: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorized exact draws of U(x)."""
+    many = _samplers(env).many
+    if operator.index(x) < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return np.ones(size, dtype=np.int64)
+    return many(np.full(size, x, dtype=np.int64), rng)
+
+
+def sample_U(env: CookieEnvironment, x: int, rng: np.random.Generator) -> int:
+    """One exact draw of U(x)."""
+    one = _samplers(env).one
+    if operator.index(x) < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return 1
+    return one(x, rng)
+
+
+def step_sampler(
+    env: CookieEnvironment,
+) -> Callable[[int, int, np.random.Generator], np.ndarray]:
+    """Adapter exposing the pile as a generic chain-step sampler."""
+    _samplers(env)  # checks the pile now, not at the first draw
+
+    def draw(x: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_U_many(env, x, size, rng)
+
+    return draw
 
 
 # ---------------------------------------------------------------------
@@ -816,45 +907,25 @@ def simulate_Z_ensemble(
 ) -> ZEnsembleResult:
     """Ensemble of crossing-chain runs from Z_0 = 1 (``bpm.absorb``).
 
-    On a critical or subcritical pile, lockstep draws within the table
-    cap come from precomputed inverse-CDF rows, searched through the
-    table's guide; each step is one table lookup.  A supercritical chain
-    escapes before a fresh table repays its build, and a constant pile's
-    negative binomial draws beat one.  Other draws come from the exact
-    samplers, the last few runs' through scalar draws.  Results are a
-    pure function of (environment, direction, horizon, trials,
-    master_seed).
+    Every step draws through the pile's samplers (``_samplers``): on a
+    pile with a table, a lockstep batch within the table's cap is one
+    table lookup, searched through its guide, and the last few runs
+    finish through scalar draws.  The table is built first, to serve
+    every size below the escape threshold (at most ``_TABLE_CAP``), so
+    the build falls in this call and not in a step.  Results are a pure
+    function of (environment, direction, horizon, trials, master_seed).
     """
     eff = _directed(env, direction)
-    one, many = _samplers(eff)
+    route = _samplers(eff)
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
     if master_seed is None:
         master_seed = default_seed()
     rng = substream(master_seed, TAG_ZSIM)
     esc = _escape_threshold(eff, horizon)
-    if _constant_value(eff) is not None or (esc is not None and not eff.is_critical()):
-        return absorb(1, horizon, trials, esc, many, one, rng)
-    table = _cached_table(eff, _TABLE_CAP if esc is None else min(_TABLE_CAP, esc))
-    cap = len(table)
-
-    def step(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(len(x))
-        rows = x - 1
-        if np.maximum.reduce(x) <= cap:
-            return table.draw(rows, u)
-        # Sizes above the cap take a throwaway lookup in row 0, then
-        # their exact draws, which follow this step's uniforms.
-        big = np.flatnonzero(x > cap)
-        rows[big] = 0
-        k = table.draw(rows, u)
-        k[big] = many(x[big], rng)
-        return k
-
-    def step_one(z: int, rng: np.random.Generator) -> int:
-        return table.draw_one(z - 1, rng.random()) if z <= cap else one(z, rng)
-
-    return absorb(1, horizon, trials, esc, step, step_one, rng)
+    if route.table is not None:
+        route.table(_TABLE_CAP if esc is None else min(_TABLE_CAP, esc))
+    return absorb(1, horizon, trials, esc, route.many, route.one, rng)
 
 
 # ---------------------------------------------------------------------

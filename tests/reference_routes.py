@@ -75,7 +75,7 @@ def chain_table_rowwise(env: CookieEnvironment, cap: int) -> _InverseCdf:
     """The chain table built one row at a time: one sweep of
     ``_failure_counts`` keeps every trial's chances, then each row is
     gathered, trimmed and accumulated on its own."""
-    los, emitted = zip(*_failure_counts(env, cap, 1e-18, 1e-16))
+    los, emitted = zip(*_failure_counts(env, cap, 1e-18, 0.0))
     lo = np.array(los)
     hi = lo + [len(e) for e in emitted]
     flat = np.concatenate(emitted)

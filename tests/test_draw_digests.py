@@ -38,10 +38,10 @@ def _sha(parts) -> str:
 @pytest.mark.parametrize(
     "literal,digest",
     [
-        ("periodic:0.9,0.1", "162a308881cfb82f45b0100d68593e8a4b8248294d3888828c8fc43001346bb7"),
+        ("periodic:0.9,0.1", "05b163e76e90277444b0ab37ad70724f27000c92dd2db6266c4fd8c0c19b6c9f"),
         ("periodic:0.7,0.7", "d4bc54853e28248663f4fcf53109b0862b385428a4575da71e3e7b3faa68d763"),
-        ("bounded:0.9,0.9", "21e863db6c6fead61a00cca7219028b356105e7cedcfc1a7d4298356724a976d"),
-        ("tail:0.9,0.2@0.4", "149792f5408b24233a5e83e8c2c87bc0cc34ae22071107227c3f3296b14f779b"),
+        ("bounded:0.9,0.9", "e5ec0e4bc7935f8d2743b758623804ce5b314ce43654235bc3adaacd65a89029"),
+        ("tail:0.9,0.2@0.4", "0a8c2d70aaff546f2befdc5d2860f64959f55bcb5e95210aed61be57c0c2e13c"),
     ],
 )
 def test_step_draws_are_pinned(literal, digest):
@@ -161,11 +161,11 @@ _ESTIMATOR_TRIALS = 70_000
     "literal,digest",
     [
         ("periodic:0.9,0.9,0.1,0.1",
-         "70d947f129914299bb4024aeb658a73848265c121b64a833cbe55a7fc218565e"),
+         "77c584cb42d0a170227d735bac1c5432c56d79b72cf01bb88b4b0d6b375fc401"),
         ("periodic:0.9,0.1",
-         "71d9927e7f62dc6624c3503162d44950a0395f44b8bee106f0fde2ac3a77ff3b"),
+         "79b6303edc27e133ea557f5f7d8705ef41decdc7278f174c496e172c8b9c80cd"),
         ("bounded:0.9,0.9",
-         "08010b062a0969fd4359bfb32f7e13169ced30e6d89edc4a1334c7e66694cd88"),
+         "ea7540d58d71bf1f74225b87723310db268834d720a9e27efa1385fced223d72"),
     ],
 )
 def test_ladder_estimates_are_pinned(literal, digest):

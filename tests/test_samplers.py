@@ -26,7 +26,6 @@ from erwlab.kks import (
     _DyadicSampler,
     _InverseCdf,
     _LogLevel,
-    _cached_table,
     _chain_table,
     _samplers,
     asymptotic_mu,
@@ -426,8 +425,8 @@ def test_tiny_table_keeps_no_guide():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
-     lambda: _cached_table(make_periodic((0.9, 0.9, 0.1, 0.1)), _TABLE_CAP), _wide_level],
+    [lambda: _samplers(make_periodic((0.9, 0.1))).table(_TABLE_CAP),
+     lambda: _samplers(make_periodic((0.9, 0.9, 0.1, 0.1))).table(_TABLE_CAP), _wide_level],
     ids=["chain-table", "four-slot-chain-table", "wide-level"],
 )
 def test_guided_search_equals_plain_searchsorted(build):
@@ -463,7 +462,7 @@ def test_guided_search_equals_plain_searchsorted(build):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _cached_table(make_periodic((0.9, 0.1)), _TABLE_CAP),
+    [lambda: _samplers(make_periodic((0.9, 0.1))).table(_TABLE_CAP),
      lambda: _DyadicSampler(make_periodic((0.9, 0.1))).levels[0],
      lambda: _DyadicSampler(make_periodic((0.99, 0.98) * 1024 + (0.99,))).levels[0]],
     ids=["guided", "unguided", "log-space"],
@@ -503,7 +502,7 @@ def test_fixed_x_batch_makes_one_lookup_per_block_and_set_bit(monkeypatch):
 )
 def test_table_draws_match_dp(env):
     # The lockstep chain serves every z up to the cap from this table.
-    table = _cached_table(env, _TABLE_CAP)
+    table = _samplers(env).table(_TABLE_CAP)
     for x in (1, 7, 500, _TABLE_CAP):
         rng = substream(S, TAG_GENERAL, 31, x)
         draws = table.draw(np.full(200_000, x - 1), rng.random(200_000))
@@ -525,13 +524,16 @@ def _table_row_law(table, x):
 @pytest.mark.parametrize(
     "env,cap",
     [(make_periodic((0.9, 0.1)), _TABLE_CAP), (make_bounded((0.9, 0.9)), _TABLE_CAP),
-     (make_periodic((0.99, 0.98)), 274)],
-    ids=["periodic", "bounded", "long-runs"],
+     (make_periodic((0.99, 0.98)), 274), (make_custom_tail((0.9, 0.2), 0.4), _TABLE_CAP),
+     (make_bounded((0.9, 0.9)), 64), (make_periodic((0.9, 0.9, 0.1, 0.1)), 512)],
+    ids=["periodic", "bounded", "long-runs", "prefix-tail", "bounded-64", "four-slot-512"],
 )
 def test_table_rows_match_the_oracle(env, cap):
     # U(274) on (0.99, 0.98) averages about 18,000 successes, so this case
     # checks that rows have no width limit.  (The chain itself draws this
-    # supercritical pile from its exact samplers, with no table.)
+    # supercritical pile from its exact samplers, with no table.)  Tables
+    # of 64 and 512 rows are the sizes a pile's table grows through, and
+    # their top rows close as the larger tables' do.
     table = _chain_table(env, cap)
     for x in (x for x in (1, 7, 500, cap) if x <= cap):
         k0, pmf = _table_row_law(table, x)
@@ -581,6 +583,128 @@ def test_chain_table_build_peaks_near_the_table_it_keeps(lit):
     assert peak <= kept + (512 << 10), (peak, kept)
 
 
+# The benchmark's ladder piles, then a subcritical prefix pile and a
+# four-slot pile with no repeated cookie.
+_TABLE_PILES = ["periodic:0.9,0.9,0.1,0.1", "periodic:0.9,0.1", "bounded:0.9,0.9",
+                "tail:0.9,0.2@0.4", "periodic:0.7,0.3,0.4,0.6"]
+
+
+@pytest.mark.parametrize("lit", _TABLE_PILES)
+def test_grown_table_has_the_rows_of_the_full_table(lit):
+    # Drawing x = 20, 100 and 500 grows the pile's table to 32, 128 and
+    # 512 rows; each has, row for row, the keys and bases of the table
+    # built at the cap, and draws through both are equal.
+    env = parse_env(lit)
+    full = _chain_table(env, _TABLE_CAP)
+    _samplers.cache_clear()
+    try:
+        route = _samplers(env)
+        for i, (x, rows) in enumerate(((20, 32), (100, 128), (500, 512))):
+            a, b = substream(S, TAG_GENERAL, 43, i), substream(S, TAG_GENERAL, 43, i)
+            got = sample_U_many(env, x, 2_000, a)
+            grown = route.table(x)
+            assert len(grown) == rows
+            assert grown.keys.tobytes() == full.keys[: len(grown.keys)].tobytes()
+            assert grown.base.tobytes() == full.base[:rows].tobytes()
+            assert got.tolist() == full.draw(np.full(2_000, x - 1), b.random(2_000)).tolist()
+            r = np.arange(rows).repeat(20)
+            u = b.random(len(r))
+            assert grown.draw(r, u).tolist() == full.draw(r, u).tolist()
+            pairs = list(zip(r[::7].tolist(), u[::7].tolist()))
+            assert [grown.draw_one(q, v) for q, v in pairs] == [full.draw_one(q, v) for q, v in pairs]
+    finally:
+        _samplers.cache_clear()
+
+
+def _cycle_route_draws(env, xs, rng):
+    """U(x) by the pile's prefix trials and its cycle's route, never a table."""
+    many = kks._cycle_route(env)[1]
+    out, rem = kks._prefix_trials(env.prefix, xs, len(xs), rng)
+    needs = rem > 0
+    return out + np.where(needs, many(np.maximum(rem, 1), rng), 0)
+
+
+@pytest.mark.parametrize("lit", _TABLE_PILES)
+def test_table_piles_draw_past_the_cap_by_the_cycle_route(monkeypatch, lit):
+    # A batch with no row within the cap takes no table pass: x = 2049
+    # draws what the cycle route draws, from equal generator states, and
+    # builds no table.
+    env = parse_env(lit)
+    assert _samplers(env).table is not None
+
+    def refuse(env, cap):
+        raise AssertionError("a draw past the cap built a table")
+
+    _samplers.cache_clear()
+    monkeypatch.setattr(kks, "_chain_table", refuse)
+    try:
+        a, b = substream(S, TAG_GENERAL, 44), substream(S, TAG_GENERAL, 44)
+        got = sample_U_many(env, _TABLE_CAP + 1, 300, a)
+    finally:
+        _samplers.cache_clear()
+    assert got.tolist() == _cycle_route_draws(env, np.full(300, _TABLE_CAP + 1), b).tolist()
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("lit", _TABLE_PILES)
+def test_table_batch_is_a_loop_of_sample_U(lit):
+    # Within the cap a batch takes one uniform a row, in row order, as
+    # one call of sample_U does.
+    env = parse_env(lit)
+    for x in (1, 20, 500, _TABLE_CAP):
+        a, b = substream(S, TAG_GENERAL, 45, x), substream(S, TAG_GENERAL, 45, x)
+        assert sample_U_many(env, x, 200, a).tolist() == [sample_U(env, x, b) for _ in range(200)]
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "lit", ["periodic:0.7,0.7", "periodic:0.8,0.3", "tail:0.9,0.95,0.2@0.6"],
+    ids=["constant", "supercritical", "supercritical-prefix"])
+def test_constant_and_supercritical_piles_keep_their_routes(lit):
+    # A constant cycle keeps its negative binomial and a supercritical
+    # pile its cycle route (after its prefix trials), at every x.
+    env = parse_env(lit)
+    assert _samplers(env).table is None
+    for x in (1, 20, 500, _TABLE_CAP + 1):
+        a, b = substream(S, TAG_GENERAL, 46, x), substream(S, TAG_GENERAL, 46, x)
+        xs = np.full(300, x)
+        assert sample_U_many(env, x, 300, a).tolist() == _cycle_route_draws(env, xs, b).tolist()
+        assert a.random() == b.random()
+    a, b = substream(S, TAG_GENERAL, 47), substream(S, TAG_GENERAL, 47)
+    assert sample_U_many(parse_env("periodic:0.7,0.7"), 20, 300, a).tolist() == (
+        b.negative_binomial(20, 1.0 - 0.7, 300).tolist())
+
+
+def test_sampler_cache_keeps_its_tables_and_levels_only():
+    # After x = 20, 100 and 500 on the three ladder piles the cache
+    # retains their 512-row tables (keys and guides) and their levels,
+    # and nothing of the smaller tables they grew through.
+    envs = [parse_env(lit) for lit in _TABLE_PILES[:3]]
+    levels = 0
+    for env in envs:
+        tracemalloc.start()
+        route = kks._cycle_route(env)
+        levels += tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        del route
+    _samplers.cache_clear()
+    try:
+        tracemalloc.start()
+        for env in envs:
+            rng = substream(S, TAG_GENERAL, 48)
+            for x in (20, 100, 500):
+                sample_U_many(env, x, 1_000, rng)
+        del rng
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        tables = [_samplers(env).table(500) for env in envs]
+        assert [len(t) for t in tables] == [512] * 3
+        kept = sum(t.keys.nbytes + t.guides.nbytes for t in tables)
+        assert retained <= kept + levels + (256 << 10), (retained, kept, levels)
+    finally:
+        _samplers.cache_clear()
+
+
 def test_table_build_past_its_trial_cap_is_an_internal_error(monkeypatch):
     # The table picks its own tail, so running out of trials is a fault of
     # the program, not an oracle horizon the user can widen.
@@ -617,12 +741,13 @@ def test_prefix_then_cycle_draws_match_dp(x):
 
 
 def test_one_sampler_cache_entry_per_pile():
-    # A prefix pile keeps its cycle's route in its own entry, and a pile
-    # without a prefix is served by its cycle's route directly.
+    # A prefix pile keeps its cycle's route and its table in its own
+    # entry, and a pile without a prefix or a table is served by its
+    # cycle's route directly.
     _samplers.cache_clear()
     sample_U_many(parse_env("tail:0.9,0.9@0.9,0.1"), 300, 10, substream(S, TAG_GENERAL, 32))
     assert _samplers.cache_info().currsize == 1
-    many = _samplers(make_periodic((0.9, 0.1)))[1]
+    many = _samplers(make_periodic((0.9, 0.3)))[1]
     assert many.__func__ is _DyadicSampler.draw
 
 

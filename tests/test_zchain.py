@@ -16,7 +16,7 @@ from erwlab.bpm import ZEnsembleResult, absorb
 from erwlab.environments import make_periodic, parse_env
 from erwlab.kks import (
     _TABLE_CAP,
-    _cached_table,
+    _cycle_route,
     _directed,
     _escape_threshold,
     _samplers,
@@ -57,7 +57,7 @@ def test_sure_steps_need_no_table_keys():
     # On (1, 0) every U(x) is x for sure, so no table row keeps a key:
     # the chain stays at 1 to the right and dies at once to the left.
     env = make_periodic((1.0, 0.0))
-    assert len(_cached_table(_directed(env, "right"), 10).keys) == 0
+    assert len(_samplers(_directed(env, "right")).table(10).keys) == 0
     right = simulate_Z_ensemble(env, "right", 10, 300, master_seed=S)
     left = simulate_Z_ensemble(env, "left", 10, 300, master_seed=S)
     assert set(right.death_steps.tolist()) == {-1} and right.escaped == 0
@@ -75,7 +75,7 @@ def test_long_success_runs_reach_the_scalar_stragglers():
 
 
 def test_lockstep_step_one_past_the_table_cap(monkeypatch):
-    # The table serves sizes up to its cap and the exact samplers the rest,
+    # The table serves sizes up to its cap and the cycle's route the rest,
     # so a batch whose largest size is cap + 1 must not reach the table
     # with that size.  Catch the step that the ensemble hands to absorb
     # and replay its draws from equal generator states.
@@ -83,8 +83,8 @@ def test_lockstep_step_one_past_the_table_cap(monkeypatch):
     caught = {}
     monkeypatch.setattr(kks, "absorb", lambda *args: caught.update(step=args[4], one=args[5]))
     simulate_Z_ensemble(env, "right", 1000, 1, master_seed=S)
-    table = _cached_table(env, _TABLE_CAP)
-    one, many = _samplers(env)
+    table = _samplers(env).table(_TABLE_CAP)
+    one, many = _cycle_route(env)
     cap = len(table)
     esc = _escape_threshold(env, 1000)
     assert esc is None or esc > cap + 1  # so the ensemble's table is this one
@@ -117,7 +117,8 @@ def test_supercritical_ensemble_draws_from_the_exact_samplers(lit, direction):
     env = parse_env(lit)
     res = simulate_Z_ensemble(env, direction, 300, 2_000, master_seed=S)
     eff = _directed(env, direction)
-    one, many = _samplers(eff)
+    one, many, table = _samplers(eff)
+    assert table is None
     want = absorb(1, 300, 2_000, _escape_threshold(eff, 300), many, one,
                   substream(S, TAG_ZSIM))
     assert np.array_equal(res.death_steps, want.death_steps)
@@ -130,11 +131,41 @@ def test_supercritical_ensemble_draws_from_the_exact_samplers(lit, direction):
      ("periodic:0.9,0.1", "right", 1), ("periodic:0.8,0.3", "right", 0),
      ("periodic:0.5,0.5", "right", 0)],
 )
-def test_only_critical_and_subcritical_ensembles_build_a_table(lit, direction, tables):
+def test_only_critical_and_subcritical_ensembles_build_a_table(monkeypatch, lit, direction,
+                                                               tables):
     # Near criticality a subcritical run lives long, and table draws pay.
-    _cached_table.cache_clear()
-    simulate_Z_ensemble(parse_env(lit), direction, 50, 50, master_seed=S)
-    assert _cached_table.cache_info().currsize == tables
+    # The ensemble builds the whole table once, before its first step.
+    builds = []
+    build = kks._chain_table
+    monkeypatch.setattr(kks, "_chain_table", lambda env, cap: builds.append(cap) or build(env, cap))
+    _samplers.cache_clear()
+    try:
+        simulate_Z_ensemble(parse_env(lit), direction, 50, 50, master_seed=S)
+    finally:
+        _samplers.cache_clear()  # drop tables built through the patch
+    assert builds == [_TABLE_CAP] * tables
+
+
+def test_chain_shares_the_pile_table_and_its_draws_do_not_depend_on_its_size(monkeypatch):
+    # The chain draws through the pile's samplers.  After a fixed-x draw
+    # grew the table to 32 rows, a short chain grows it to the 1024 rows
+    # below its escape threshold (760 at H = 3); a chain after a draw at
+    # the cap uses the 2048-row table as it is.  Rows do not depend on the
+    # table's size, so both chains draw alike, and a later draw within
+    # the cap builds nothing.
+    env = parse_env("periodic:0.9,0.1")
+    assert _escape_threshold(env, 3) == 760
+    runs = []
+    for x, rows in ((20, 1024), (_TABLE_CAP, _TABLE_CAP)):
+        _samplers.cache_clear()
+        sample_U(env, x, substream(S, TAG_GENERAL, 49))
+        runs.append(simulate_Z_ensemble(env, "right", 3, 2_000, master_seed=S))
+        assert len(_samplers(env).table(1)) == rows
+    monkeypatch.setattr(kks, "_chain_table", None)  # a build would fail
+    sample_U(env, 700, substream(S, TAG_GENERAL, 49))
+    _samplers.cache_clear()
+    assert runs[0].death_steps.tolist() == runs[1].death_steps.tolist()
+    assert runs[0].escaped == runs[1].escaped
 
 
 def test_survival_at_is_monotone_and_anchored():
@@ -189,8 +220,8 @@ def test_death_steps_fields_are_consistent():
 def _single_run(env, horizon, rng):
     """One rightward run of ``absorb`` over the pile's exact samplers:
     (absorption step or -1, escapes)."""
-    one, many = _samplers(env)
-    run = absorb(1, horizon, 1, _escape_threshold(env, horizon), many, one, rng)
+    route = _samplers(env)
+    run = absorb(1, horizon, 1, _escape_threshold(env, horizon), route.many, route.one, rng)
     return int(run.death_steps[0]), run.escaped
 
 
